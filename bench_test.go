@@ -885,15 +885,11 @@ func BenchmarkScale_SVStreamThroughput(b *testing.B) {
 }
 
 func BenchmarkScale_CampaignThroughput(b *testing.B) {
-	// The campaign ablation: a 20-run seed sweep of a fault drill at the
-	// paper's 5×20 scale target (104+ IEDs per range), executed per-run-
-	// compile (every run pays the full SG-ML pipeline — the pre-fork
-	// reference path, selected with WithPerRunCompile) vs forked (the model
-	// compiles once and every run clones the compiled root). Both sweeps use
-	// the same oversubscribed worker pool, so the ratio isolates the fork
-	// fast path. Besides ns/op, the bench asserts the acceptance contract —
-	// the forked sweep's per-run fingerprints are identical to the
-	// per-run-compile sweep's.
+	// A 20-run seed sweep of a fault drill at the paper's 5×20 scale target
+	// (104+ IEDs per range): the model compiles once and every run forks the
+	// compiled root. The store/jsonl sub-bench adds the durable store and
+	// must reproduce the forked sweep's fingerprints; provision/* isolates
+	// what a run pays for its range, full compile vs fork.
 	ms, _, err := sgml.ScaleModelSet(5, 20)
 	if err != nil {
 		b.Fatal(err)
@@ -930,30 +926,19 @@ func BenchmarkScale_CampaignThroughput(b *testing.B) {
 	}
 	// Runs block on range start/teardown I/O, not pure CPU: oversubscribe.
 	workers := runtime.GOMAXPROCS(0) * 2
-	var perRunCompile, forked map[int64]string
-	runCampaign := func(b *testing.B, out *map[int64]string, opts ...sgml.CampaignOption) {
-		b.Helper()
-		opts = append([]sgml.CampaignOption{sgml.WithWorkers(workers)}, opts...)
+	var forked map[int64]string
+	b.Run("forked", func(b *testing.B) {
 		runs := 0
 		for i := 0; i < b.N; i++ {
-			rep, err := sgml.RunCampaign(context.Background(), campaign, opts...)
+			rep, err := sgml.RunCampaign(context.Background(), campaign, sgml.WithWorkers(workers))
 			if err != nil {
 				b.Fatal(err)
 			}
-			*out = fingerprints(b, rep)
+			forked = fingerprints(b, rep)
 			runs += rep.TotalRuns
 		}
 		b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/s")
-	}
-	b.Run("per-run-compile", func(b *testing.B) { runCampaign(b, &perRunCompile, sgml.WithPerRunCompile()) })
-	b.Run("forked", func(b *testing.B) { runCampaign(b, &forked) })
-	if perRunCompile != nil && forked != nil {
-		for seed, fp := range perRunCompile {
-			if forked[seed] != fp {
-				b.Fatalf("seed %d: forked fingerprint %s != per-run-compile %s", seed, forked[seed], fp)
-			}
-		}
-	}
+	})
 
 	// The durable result store in the hot path: the forked sweep again, with
 	// every completed run framed, checksummed and fsync'd into the JSONL
@@ -961,7 +946,7 @@ func BenchmarkScale_CampaignThroughput(b *testing.B) {
 	// "forked" is the whole persistence overhead (target: within 5% at 20
 	// runs — the runs dominate; each record is one fsync on a worker
 	// goroutine, off the other workers' critical path). The fingerprints
-	// must match the unstored sweeps exactly; the sealed root must verify.
+	// must match the unstored sweep exactly; the sealed root must verify.
 	var stored map[int64]string
 	b.Run("store/jsonl", func(b *testing.B) {
 		base := b.TempDir()
@@ -996,11 +981,11 @@ func BenchmarkScale_CampaignThroughput(b *testing.B) {
 		}
 	}
 
-	// Provisioning in isolation — what each sweep pays per run to obtain an
-	// isolated range, with the (identical) scenario execution factored out.
-	// This is the ratio the fork fast path targets: full SG-ML pipeline vs
-	// clone-from-artifacts.
-	b.Run("provision/per-run-compile", func(b *testing.B) {
+	// Provisioning in isolation — what a run pays to obtain an isolated
+	// range, with the scenario execution factored out: the full SG-ML
+	// pipeline (a fresh Compile, the reference TestForkDeterminism diffs
+	// against) vs the fork every campaign run takes.
+	b.Run("provision/compile", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r, err := sgml.Compile(ms)
 			if err != nil {
@@ -1031,18 +1016,26 @@ func BenchmarkScale_CampaignThroughput(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func BenchmarkAblation_ParallelStepEngine(b *testing.B) {
-	// The tentpole ablation: whole-range step at the paper's 5x20 target
-	// size, sequential reference engine vs the sharded two-phase engine at
-	// increasing worker counts. Both paths produce byte-identical state
+	// Why the sharded engine stays: whole-range step at the paper's 5x20
+	// target size and at the 10x50 XL size, the sequential reference engine
+	// vs the sharded two-phase engine. The engine's pool is GOMAXPROCS, so
+	// -cpu 1,2,4 sweeps its size. Both paths produce byte-identical state
 	// (TestParallelStepDeterminism*); this measures the latency they pay
 	// for it.
-	runEngine := func(b *testing.B, step func(*sgml.CyberRange, time.Time) error, opts ...sgml.CompileOption) {
+	sizes := []struct {
+		name  string
+		model func() (*sgml.ModelSet, int, error)
+	}{
+		{"5x20", func() (*sgml.ModelSet, int, error) { return sgml.ScaleModelSet(5, 20) }},
+		{"xl-10x50", sgml.ScaleModelSetXL},
+	}
+	runEngine := func(b *testing.B, model func() (*sgml.ModelSet, int, error), step func(*sgml.CyberRange, time.Time) error) {
 		b.Helper()
-		ms, _, err := sgml.ScaleModelSet(5, 20)
+		ms, _, err := model()
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := sgml.Compile(ms, opts...)
+		r, err := sgml.Compile(ms)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1060,12 +1053,12 @@ func BenchmarkAblation_ParallelStepEngine(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sequential", func(b *testing.B) {
-		runEngine(b, (*sgml.CyberRange).StepAllSequential)
-	})
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
-			runEngine(b, (*sgml.CyberRange).StepAll, sgml.WithWorkers(workers))
+	for _, size := range sizes {
+		b.Run(size.name+"/sequential", func(b *testing.B) {
+			runEngine(b, size.model, (*sgml.CyberRange).StepAllSequential)
+		})
+		b.Run(size.name+"/parallel", func(b *testing.B) {
+			runEngine(b, size.model, (*sgml.CyberRange).StepAll)
 		})
 	}
 }

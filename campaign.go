@@ -16,9 +16,9 @@ import (
 // aggregated report. See the package doc's "Campaigns" section for the model;
 // internal/core/campaign.go holds the engine.
 type (
-	// Campaign is a declarative sweep — scenario variants × seed lists ×
-	// engine/data-plane toggles — executed concurrently on a bounded worker
-	// pool, one isolated CyberRange per run.
+	// Campaign is a declarative sweep — scenario variants × seed lists —
+	// executed concurrently on a bounded worker pool, one isolated
+	// CyberRange forked per run.
 	Campaign = core.Campaign
 	// CampaignVariant is one cell of the sweep matrix.
 	CampaignVariant = core.CampaignVariant
@@ -32,9 +32,8 @@ type (
 	// DeterminismMismatch names a (variant, seed) group whose repeated runs
 	// disagreed on their fingerprint.
 	DeterminismMismatch = core.DeterminismMismatch
-	// CampaignOption tunes a campaign execution (WithWorkers,
-	// WithPerRunCompile, WithStore, WithResume, WithRunSink, WithRunTimeout,
-	// WithRetries).
+	// CampaignOption tunes a campaign execution (WithWorkers, WithStore,
+	// WithResume, WithRunSink, WithRunTimeout, WithRetries).
 	CampaignOption = core.CampaignOption
 	// RunFailure classifies why a campaign run failed; see the Fail*
 	// constants and CampaignRun.Failure.
@@ -66,24 +65,17 @@ const (
 	FailCancelled = core.FailCancelled
 )
 
-// WithCampaignWorkers sets how many runs execute concurrently (default
-// runtime.GOMAXPROCS); 1 executes the sweep sequentially.
-//
-// Deprecated: WithCampaignWorkers is the pre-unification name; it is exactly
-// WithWorkers restricted to campaigns. Use WithWorkers.
-func WithCampaignWorkers(n int) CampaignOption { return core.WithCampaignWorkers(n) }
-
-// WithPerRunCompile makes RunCampaign compile a fresh range for every run
-// (the pre-fork reference path) instead of compiling each distinct model once
-// and forking per run. The two paths produce byte-identical run fingerprints;
-// the knob exists for ablation and as a conservative fallback.
-func WithPerRunCompile() CampaignOption { return core.WithPerRunCompile() }
+// WithWorkers sets how many campaign runs execute concurrently (default
+// runtime.GOMAXPROCS; 1 executes the sweep sequentially). Each run's step
+// engine gets max(1, GOMAXPROCS / workers) workers, the CPUs the campaign
+// pool leaves over. Worker count never changes run fingerprints.
+func WithWorkers(n int) CampaignOption { return core.WithWorkers(n) }
 
 // WithRunSink attaches a streaming observer to RunCampaign: every executed
 // run is delivered as it completes, in completion order, from worker
 // goroutines (the sink must be safe for concurrent use). Cells cancelled
-// before execution are recorded in the report but never delivered. May be
-// repeated to attach several sinks.
+// before or during execution are recorded in the report but never
+// delivered. May be repeated to attach several sinks.
 func WithRunSink(s RunSink) CampaignOption { return core.WithRunSink(s) }
 
 // WithStore attaches the durable result store under dir to RunCampaign:
@@ -183,7 +175,7 @@ func campaignFromConfig(cfg *sgmlconf.CampaignConfig, baseDir string, model *Mod
 		if label == "" {
 			label = fmt.Sprintf("#%d", i+1)
 		}
-		v := CampaignVariant{Name: vc.Name, Repeat: vc.Repeat, Sequential: vc.Sequential, MaxSteps: vc.MaxSteps}
+		v := CampaignVariant{Name: vc.Name, Repeat: vc.Repeat, MaxSteps: vc.MaxSteps}
 		scPath := filepath.Join(baseDir, vc.Scenario)
 		sc, ok := scenarios[scPath]
 		if !ok {
@@ -211,11 +203,6 @@ func campaignFromConfig(cfg *sgmlconf.CampaignConfig, baseDir string, model *Mod
 			return nil, fmt.Errorf("campaign variant %s: %w", label, err)
 		}
 		v.Seeds = seeds
-		pooling, err := vc.FramePoolingChoice()
-		if err != nil {
-			return nil, fmt.Errorf("campaign variant %s: %w", label, err)
-		}
-		v.FramePooling = pooling
 		c.Variants = append(c.Variants, v)
 	}
 	return c, nil

@@ -15,9 +15,9 @@ import (
 	"repro/netem"
 )
 
-// sweepCampaign is the determinism workload: the same drill under the
-// shipped configuration and under the reference engine + reference data
-// plane, with a repeated-seed variant probing replay stability.
+// sweepCampaign is the determinism workload: the same drill swept over two
+// seeds with repeats probing replay stability, plus a second variant that
+// replays seed 1 once more.
 func sweepCampaign(ms *sgml.ModelSet) *sgml.Campaign {
 	drill := &sgml.Scenario{
 		Name:  "sweep-drill",
@@ -35,23 +35,21 @@ func sweepCampaign(ms *sgml.ModelSet) *sgml.Campaign {
 				Ref: "LD0/XCBR1.Pos.Oper", Value: mms.NewBool(false)}},
 		},
 	}
-	reference := false
 	return &sgml.Campaign{
 		Name:  "determinism-sweep",
 		Model: ms,
 		Variants: []sgml.CampaignVariant{
 			{Name: "parallel", Scenario: drill, Seeds: []int64{1, 2}, Repeat: 2},
-			{Name: "reference", Scenario: drill, Seeds: []int64{1}, Sequential: true,
-				FramePooling: &reference},
+			{Name: "solo", Scenario: drill, Seeds: []int64{1}},
 		},
 	}
 }
 
 // TestCampaignDeterminism pins the campaign layer's contract: the sweep's
 // run fingerprints are a pure function of each run's (model, scenario, seed)
-// — identical regardless of worker count, run ordering, step engine or data
-// plane, with repeated seeds collapsing to one fingerprint (and the runs all
-// sharing one parsed ModelSet, -race clean).
+// — identical regardless of worker count (and with it each run's derived
+// step pool), run ordering or variant, with repeated seeds collapsing to one
+// fingerprint (and the runs all sharing one parsed ModelSet, -race clean).
 func TestCampaignDeterminism(t *testing.T) {
 	ms, err := sgml.EPICModelSet()
 	if err != nil {
@@ -61,7 +59,7 @@ func TestCampaignDeterminism(t *testing.T) {
 	key := func(r *sgml.CampaignRun) [3]interface{} { return [3]interface{}{r.Variant, r.Seed, r.Attempt} }
 	var want map[[3]interface{}]string
 	for _, workers := range []int{1, 4} {
-		rep, err := sgml.RunCampaign(context.Background(), sweepCampaign(ms), sgml.WithCampaignWorkers(workers))
+		rep, err := sgml.RunCampaign(context.Background(), sweepCampaign(ms), sgml.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,12 +81,12 @@ func TestCampaignDeterminism(t *testing.T) {
 				t.Errorf("workers=%d: run %v recall = %v, want 1", workers, key(run), run.Recall)
 			}
 		}
-		// Same seed, different engine/data plane: same outcome. The repeated
-		// seed-1 attempts of "parallel" and the sequential reference run must
-		// all share one fingerprint.
+		// Same seed, different variant: same outcome. The repeated seed-1
+		// attempts of "parallel" and the "solo" run must all share one
+		// fingerprint.
 		p1 := got[[3]interface{}{"parallel", int64(1), 1}]
-		if got[[3]interface{}{"reference", int64(1), 1}] != p1 {
-			t.Errorf("workers=%d: reference engine fingerprint diverged from parallel", workers)
+		if got[[3]interface{}{"solo", int64(1), 1}] != p1 {
+			t.Errorf("workers=%d: solo variant fingerprint diverged from parallel", workers)
 		}
 		if got[[3]interface{}{"parallel", int64(1), 2}] != p1 {
 			t.Errorf("workers=%d: repeated seed fingerprint diverged", workers)
@@ -109,7 +107,7 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 // TestCampaignXMLForm drives the fifth supplementary schema end to end:
-// parse, seed-range expansion, toggle resolution, and the JSON report shape.
+// parse, seed-range expansion, repeats, and the JSON report shape.
 func TestCampaignXMLForm(t *testing.T) {
 	ms, err := sgml.EPICModelSet()
 	if err != nil {
@@ -124,8 +122,7 @@ func TestCampaignXMLForm(t *testing.T) {
 	}
 	campaignXML := []byte(`<Campaign name="xml-sweep" workers="2">
   <Variant name="a" scenario="mini.scenario.xml" seeds="1-3,9"/>
-  <Variant name="b" scenario="mini.scenario.xml" seeds="2" repeat="2"
-           sequential="true" framePooling="off"/>
+  <Variant name="b" scenario="mini.scenario.xml" seeds="2" repeat="2"/>
 </Campaign>`)
 	c, err := sgml.ParseCampaign(campaignXML, dir, ms)
 	if err != nil {
@@ -138,11 +135,8 @@ func TestCampaignXMLForm(t *testing.T) {
 	if len(a.Seeds) != 4 || a.Seeds[0] != 1 || a.Seeds[2] != 3 || a.Seeds[3] != 9 {
 		t.Errorf("seed range expansion = %v", a.Seeds)
 	}
-	if a.FramePooling != nil || a.Sequential {
-		t.Errorf("variant a toggles = %+v", a)
-	}
-	if b.FramePooling == nil || *b.FramePooling || !b.Sequential || b.Repeat != 2 {
-		t.Errorf("variant b toggles = %+v", b)
+	if a.Repeat != 0 || b.Repeat != 2 {
+		t.Errorf("repeats = %d, %d", a.Repeat, b.Repeat)
 	}
 	if a.Scenario != b.Scenario {
 		t.Error("shared scenario file loaded twice")
@@ -187,7 +181,6 @@ func TestCampaignXMLForm(t *testing.T) {
 		`<Campaign name="x"/>`,
 		`<Campaign name="x"><Variant name="v"/></Campaign>`,
 		`<Campaign name="x"><Variant name="v" scenario="s.xml" seeds="5-1"/></Campaign>`,
-		`<Campaign name="x"><Variant name="v" scenario="s.xml" framePooling="maybe"/></Campaign>`,
 		`<Campaign name="x"><Variant name="v" scenario="s.xml"/><Variant name="v" scenario="s.xml"/></Campaign>`,
 	} {
 		if _, err := sgml.ParseCampaign([]byte(bad), dir, ms); err == nil {

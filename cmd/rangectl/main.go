@@ -8,7 +8,7 @@
 //
 // Execute a declarative scenario headlessly and print the structured report:
 //
-//	rangectl scenario run <model-dir> <scenario-file> [-seed N] [-sequential]
+//	rangectl scenario run <model-dir> <scenario-file> [-seed N]
 //
 // Execute a campaign — a concurrent sweep of scenario runs — and print the
 // aggregated report (optionally also as JSON):
@@ -16,9 +16,8 @@
 //	rangectl campaign run <model-dir> <campaign-file> [-workers N] [-json out.json]
 //	                      [-store DIR] [-resume] [-run-timeout D] [-retries N]
 //
-// Campaigns fork a compile-once root range per run; -per-run-compile restores
-// the reference behaviour of compiling a fresh range for every run. With
-// -store every completed run is checkpointed into the durable result store
+// Campaigns fork a compile-once root range per run, and each run steps on the
+// CPUs the -workers pool leaves over. With -store every completed run is checkpointed into the durable result store
 // under DIR as it finishes, and a fully-clean sweep is sealed under a Merkle
 // root; -resume restores the store's records and executes only the missing
 // cells, so an interrupted sweep pays only for what it never finished.
@@ -115,11 +114,10 @@ func parsePositionals(fs *flag.FlagSet, args []string, want int) ([]string, erro
 // scenarioMain implements "rangectl scenario run <model-dir> <scenario-file>".
 func scenarioMain(args []string) error {
 	if len(args) < 1 || args[0] != "run" {
-		return fmt.Errorf("usage: rangectl scenario run <model-dir> <scenario-file> [-seed N] [-sequential]")
+		return fmt.Errorf("usage: rangectl scenario run <model-dir> <scenario-file> [-seed N]")
 	}
 	fs := flag.NewFlagSet("scenario run", flag.ExitOnError)
 	seed := fs.Int64("seed", 0, "replay seed (0 uses the scenario file's seed)")
-	sequential := fs.Bool("sequential", false, "drive the single-threaded reference step engine")
 	name := fs.String("name", "range", "range name")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: rangectl scenario run <model-dir> <scenario-file> [flags]")
@@ -141,9 +139,6 @@ func scenarioMain(args []string) error {
 	var opts []sgml.RunOption
 	if *seed != 0 {
 		opts = append(opts, sgml.WithSeed(*seed))
-	}
-	if *sequential {
-		opts = append(opts, sgml.WithSequential())
 	}
 	cr, err := sgml.Compile(ms)
 	if err != nil {
@@ -173,7 +168,6 @@ func searchMain(args []string) error {
 	budget := fs.Int("budget", 0, "candidate evaluations (0 uses the library default)")
 	workers := fs.Int("workers", 0, "concurrent candidate evaluations (never changes the finds)")
 	maxSteps := fs.Int("max-steps", 0, "per-candidate step cap (0 uses the library default)")
-	sequential := fs.Bool("sequential", false, "evaluate candidates under the single-threaded reference step engine")
 	out := fs.String("out", "", "write each find's minimized repro into this corpus directory")
 	name := fs.String("name", "range", "range name")
 	fs.Usage = func() {
@@ -198,7 +192,6 @@ func searchMain(args []string) error {
 		Budget:     *budget,
 		Workers:    *workers,
 		MaxSteps:   *maxSteps,
-		Sequential: *sequential,
 	})
 	if err != nil {
 		return err
@@ -238,7 +231,6 @@ func campaignMain(args []string) error {
 func campaignRunMain(args []string) error {
 	fs := flag.NewFlagSet("campaign run", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "concurrent runs (0 uses the campaign file's value, then GOMAXPROCS)")
-	perRunCompile := fs.Bool("per-run-compile", false, "compile a fresh range per run instead of forking a compile-once root")
 	jsonOut := fs.String("json", "", "also write the machine-readable report to this file")
 	storeDir := fs.String("store", "", "checkpoint every completed run into the durable result store under this directory")
 	resume := fs.Bool("resume", false, "restore the store's records and execute only the missing cells (requires -store)")
@@ -274,9 +266,6 @@ func campaignRunMain(args []string) error {
 	var opts []sgml.CampaignOption
 	if *workers > 0 {
 		opts = append(opts, sgml.WithWorkers(*workers))
-	}
-	if *perRunCompile {
-		opts = append(opts, sgml.WithPerRunCompile())
 	}
 	if *storeDir != "" {
 		opts = append(opts, sgml.WithStore(*storeDir))

@@ -79,7 +79,7 @@ func TestCampaignRunSmoke(t *testing.T) {
 	campaign := writeFile(t, dir, "mini.campaign.xml",
 		`<Campaign name="mini-sweep" workers="2">
   <Variant name="a" scenario="mini.scenario.xml" seeds="1-2"/>
-  <Variant name="b" scenario="mini.scenario.xml" seeds="1" repeat="2" sequential="true"/>
+  <Variant name="b" scenario="mini.scenario.xml" seeds="1" repeat="2"/>
 </Campaign>`)
 	jsonOut := filepath.Join(dir, "report.json")
 	if err := campaignMain([]string{"run", model, campaign, "-json", jsonOut}); err != nil {
@@ -103,7 +103,7 @@ func TestCampaignRunSmoke(t *testing.T) {
 }
 
 // writeMiniCampaign lays down the small sweep used by the store tests: two
-// variants (one sequential), four runs total.
+// variants (one repeated), four runs total.
 func writeMiniCampaign(t *testing.T, dir string) string {
 	t.Helper()
 	writeFile(t, dir, "mini.scenario.xml",
@@ -113,7 +113,7 @@ func writeMiniCampaign(t *testing.T, dir string) string {
 	return writeFile(t, dir, "mini.campaign.xml",
 		`<Campaign name="mini-sweep" workers="2">
   <Variant name="a" scenario="mini.scenario.xml" seeds="1-2"/>
-  <Variant name="b" scenario="mini.scenario.xml" seeds="1" repeat="2" sequential="true"/>
+  <Variant name="b" scenario="mini.scenario.xml" seeds="1" repeat="2"/>
 </Campaign>`)
 }
 
@@ -129,55 +129,47 @@ func findStoreRecords(t *testing.T, storeDir string) string {
 }
 
 // TestCampaignStoreResumeVerifyCLI drives the full durable pipeline through
-// the CLI: run with -store (both provisioning paths), re-run with -resume
-// (trivially restoring every cell and resealing the same root), then
+// the CLI: run with -store, re-run with -resume (trivially restoring every
+// cell and resealing the same root), then
 // "campaign verify" for the whole store and for single-run inclusion proofs.
 func TestCampaignStoreResumeVerifyCLI(t *testing.T) {
 	model := writeEPICModelDir(t)
-	for _, extra := range [][]string{nil, {"-per-run-compile"}} {
-		name := "forked"
-		if len(extra) > 0 {
-			name = "per-run-compile"
+	t.Run("forked", func(t *testing.T) {
+		dir := t.TempDir()
+		campaign := writeMiniCampaign(t, dir)
+		storeDir := filepath.Join(dir, "results")
+		if err := campaignMain([]string{"run", model, campaign, "-store", storeDir}); err != nil {
+			t.Fatalf("campaign run -store: %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			campaign := writeMiniCampaign(t, dir)
-			storeDir := filepath.Join(dir, "results")
-			runArgs := append([]string{"run", model, campaign, "-store", storeDir}, extra...)
-			if err := campaignMain(runArgs); err != nil {
-				t.Fatalf("campaign run -store: %v", err)
+		sealed, err := sgml.VerifyStore(storeDir)
+		if err != nil || len(sealed) != 1 {
+			t.Fatalf("store not sealed after clean sweep: %v", err)
+		}
+		// Resume over a complete store re-executes nothing and reseals
+		// the identical root.
+		if err := campaignMain([]string{"run", model, campaign, "-store", storeDir, "-resume"}); err != nil {
+			t.Fatalf("campaign run -resume: %v", err)
+		}
+		resealed, err := sgml.VerifyStore(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resealed[0].Root != sealed[0].Root {
+			t.Fatalf("resume changed the sealed root: %s -> %s", sealed[0].Root, resealed[0].Root)
+		}
+		// Whole-store audit and per-run inclusion proofs via the CLI.
+		if err := campaignMain([]string{"verify", storeDir}); err != nil {
+			t.Fatalf("campaign verify: %v", err)
+		}
+		for _, cell := range []string{"a:1:1", "a:2:1", "b:1:1", "b:1:2"} {
+			if err := campaignMain([]string{"verify", storeDir, "-run", cell}); err != nil {
+				t.Fatalf("campaign verify -run %s: %v", cell, err)
 			}
-			sealed, err := sgml.VerifyStore(storeDir)
-			if err != nil || len(sealed) != 1 {
-				t.Fatalf("store not sealed after clean sweep: %v", err)
-			}
-			// Resume over a complete store re-executes nothing and reseals
-			// the identical root.
-			if err := campaignMain(append([]string{"run", model, campaign,
-				"-store", storeDir, "-resume"}, extra...)); err != nil {
-				t.Fatalf("campaign run -resume: %v", err)
-			}
-			resealed, err := sgml.VerifyStore(storeDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resealed[0].Root != sealed[0].Root {
-				t.Fatalf("resume changed the sealed root: %s -> %s", sealed[0].Root, resealed[0].Root)
-			}
-			// Whole-store audit and per-run inclusion proofs via the CLI.
-			if err := campaignMain([]string{"verify", storeDir}); err != nil {
-				t.Fatalf("campaign verify: %v", err)
-			}
-			for _, cell := range []string{"a:1:1", "a:2:1", "b:1:1", "b:1:2"} {
-				if err := campaignMain([]string{"verify", storeDir, "-run", cell}); err != nil {
-					t.Fatalf("campaign verify -run %s: %v", cell, err)
-				}
-			}
-			if err := campaignMain([]string{"verify", storeDir, "-run", "a:9:1"}); err == nil {
-				t.Fatal("verify accepted a cell the store never held")
-			}
-		})
-	}
+		}
+		if err := campaignMain([]string{"verify", storeDir, "-run", "a:9:1"}); err == nil {
+			t.Fatal("verify accepted a cell the store never held")
+		}
+	})
 }
 
 // TestCampaignStoreTamperCLI pins the acceptance contract: one

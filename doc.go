@@ -60,13 +60,14 @@
 // (DeployIDS).
 //
 // The scheduler is deterministic: it is woven into the step loop as pre/post
-// step hooks, so events fire at identical points under the parallel and the
-// sequential engine, and every randomised choice (attacker MAC derivation,
-// scan order, the fabric's frame-loss draw sequence) derives from one seed
-// (WithSeed). A fixed (model, scenario, seed) triple replays byte-identically
-// — RunReport.Fingerprint canonicalises the deterministic projection of the
-// report, and the determinism tests pin it across engines and data-plane
-// modes. (The one caveat is LinkLoss: the draw sequence is seeded, but which
+// step hooks, so events fire at fixed points between device passes, and
+// every randomised choice (attacker MAC derivation, scan order, the fabric's
+// frame-loss draw sequence) derives from one seed (WithSeed). A fixed
+// (model, scenario, seed) triple replays byte-identically —
+// RunReport.Fingerprint canonicalises the deterministic projection of the
+// report, and the determinism tests pin it against the test-only reference
+// paths (StepAllSequential, the copy-per-publish data plane, a fresh
+// Compile). (The one caveat is LinkLoss: the draw sequence is seeded, but which
 // concurrent frame consumes which draw is scheduling-dependent, so keep
 // asserted outcomes off lossy links — see LinkLoss.) Scenarios also have a declarative XML form (ParseScenario,
 // LoadScenarioFile; schema in internal/sgmlconf) consumed by
@@ -79,12 +80,12 @@
 // # Campaigns
 //
 // A Campaign is the population form of a scenario experiment: a declarative
-// sweep of scenario variants × seed lists × engine/data-plane toggles,
-// executed by RunCampaign on a bounded worker pool (WithWorkers) with one
-// isolated CyberRange per run. Each distinct model is compiled once and every
-// run forks the compiled root (see Forking below); WithPerRunCompile restores
-// the reference behaviour of compiling a fresh range per run. Either way every
-// run owns its range, so worker count and run ordering never change any run's
+// sweep of scenario variants × seed lists, executed by RunCampaign on a
+// bounded worker pool (WithWorkers) with one isolated CyberRange per run.
+// Each distinct model is compiled once and every run forks the compiled root
+// (see Forking below). The campaign pool already fills the CPUs, so each
+// run's step engine gets max(1, GOMAXPROCS / workers) workers. Every run owns
+// its range, so worker count and run ordering never change any run's
 // fingerprint. The aggregated CampaignReport carries per-variant distributions
 // (precision/recall, alert latency, solver cache hit rate, data-plane
 // throughput, step-time quantiles) and a cross-seed determinism verdict:
@@ -107,9 +108,8 @@
 // the torn tail, never a completed run. WithResume restores every persisted
 // cell from the store (marked CampaignRun.Resumed, counted in
 // CampaignReport.Resumed) and executes only the missing ones; an
-// interrupted-then-resumed sweep yields run fingerprints byte-identical to
-// the same sweep run uninterrupted, across both provisioning paths and both
-// step engines.
+// interrupted-then-resumed sweep yields run fingerprints and a Merkle root
+// byte-identical to the same sweep run uninterrupted.
 //
 // When a sweep completes cleanly, the store seals it: a Merkle root over the
 // run fingerprints, sorted by (variant, seed, attempt), is written alongside
@@ -179,8 +179,8 @@
 // scenario, serialized with MarshalScenario, and pinned: the find's XML
 // re-parses and replays to its recorded Fingerprint under the recorded
 // WithMaxSteps cap. A fixed (model, seed scenario, search seed, budget)
-// reproduces the same finds, minimized repros and fingerprints across both
-// step engines, both provisioning paths and any worker count:
+// reproduces the same finds, minimized repros and fingerprints at any worker
+// count:
 //
 //	res, _ := sgml.Search(ctx, ms, seed, sgml.SearchOptions{SearchSeed: 3, Budget: 16})
 //	for _, f := range res.Finds {
@@ -188,7 +188,7 @@
 //	}
 //
 // Finds persist as a regression corpus (WriteSearchCorpus/ReadSearchCorpus;
-// testdata/corpus is the checked-in one, replayed by CI under both engines),
+// testdata/corpus is the checked-in one, replayed by CI on every push),
 // and the whole loop runs from the command line:
 //
 //	rangectl search models/epic seed.scenario.xml -search-seed 3 -budget 16 -out corpus/
@@ -211,18 +211,18 @@
 // isolated sibling in about a millisecond: forks share only read-only
 // artifacts (plus a recycler that hands stopped forks' fabric inboxes to the
 // next fork), and a forked range is indistinguishable from a freshly compiled
-// one — identical run fingerprints under both step engines and both data
-// planes, pinned by TestForkDeterminism. RunCompiled is the one-shot form:
+// one — identical run fingerprints, pinned by TestForkDeterminism. Fork is
+// how every campaign and search run is provisioned; RunCompiled is the
+// one-shot form:
 //
 //	cr, _ := sgml.Compile(ms)
 //	defer cr.Stop()
 //	rep, _ := sgml.RunCompiled(ctx, cr, sc, sgml.WithSeed(7))   // runs on a private fork
 //
-// Option families are unified around this split: WithWorkers is a
-// sgml.Option accepted by Compile (engine default), Run/RunCompiled (per-run
-// override) and RunCampaign (pool size). WithCampaignWorkers remains as a
-// deprecated alias — migrate by renaming the call; the argument and
-// semantics are unchanged.
+// Options come in two families: RunOption for Run/RunRange/RunCompiled
+// (WithSeed, WithMaxSteps) and CampaignOption for RunCampaign (WithWorkers,
+// WithStore, WithResume, WithRunSink, WithRunTimeout, WithRetries); a
+// misplaced option is a compile-time error. Compile takes none.
 //
 // # Parallel step engine
 //
@@ -241,12 +241,13 @@
 //
 // PLC scans and the HMI poll follow against the committed state. The kv bus
 // and HMI state is byte-identical to CyberRange.StepAllSequential — the
-// single-threaded reference path — while step latency scales with
-// substation count instead of total device count. (GOOSE/R-SV arrival
-// timing is asynchronous under both engines and is not part of that
-// contract.) WithWorkers sets the pool size (default runtime.GOMAXPROCS):
-//
-//	r, _ := sgml.Compile(ms, sgml.WithWorkers(4))
+// single-threaded reference path, kept as a test oracle — while step latency
+// scales with substation count instead of total device count. (GOOSE/R-SV
+// arrival timing is asynchronous under both engines and is not part of that
+// contract.) The pool size is derived, not set: runtime.GOMAXPROCS for a
+// range stepped alone, and the CPUs the campaign pool leaves over for a
+// campaign run. BenchmarkAblation_ParallelStepEngine measures both engines
+// at 5x20 and 10x50 XL; vary its pool with -cpu.
 //
 // # Sparse warm-path power flow
 //
@@ -285,8 +286,8 @@
 //     receive a detached Clone. Decoded goose.Message / sv.Sample values own
 //     all their data, so protocol consumers are retention-safe by default.
 //
-// The legacy copy-per-publish semantics remain selectable as the reference
-// path via netem's Network.SetFramePooling(false) — mirroring the
+// The legacy copy-per-publish semantics remain as a test oracle via netem's
+// Network.SetFramePooling(false) on a compiled range — mirroring the
 // StepAllSequential and dense-solver precedents — and differential tests pin
 // delivered payloads, capture output and IDS verdicts byte-identical across
 // the two paths. CyberRange.DataPlaneStats (and the HMI status panel's

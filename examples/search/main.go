@@ -13,7 +13,7 @@
 //
 // Everything is deterministic: a fixed (model, seed scenario, search seed,
 // budget) reproduces the same finds, minimized repros and fingerprints
-// regardless of worker count, step engine or provisioning path. The same
+// regardless of worker count. The same
 // search runs from the command line:
 //
 //	rangectl search models/epic examples/search/seed.scenario.xml -search-seed 3 -budget 16
@@ -53,7 +53,7 @@ func main() {
 	}
 
 	// A find is a self-contained repro: its XML re-parses and replays to the
-	// pinned fingerprint under the recorded step cap — under either engine.
+	// pinned fingerprint under the recorded step cap, on a fresh compile.
 	for _, f := range res.Finds {
 		if f.Oracle != "missed-detection" {
 			continue
@@ -63,8 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := sgml.Run(context.Background(), ms, sc,
-			sgml.WithMaxSteps(f.MaxSteps), sgml.WithSequential())
+		rep, err := sgml.Run(context.Background(), ms, sc, sgml.WithMaxSteps(f.MaxSteps))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,6 +71,6 @@ func main() {
 			fmt.Println("replay diverged from the pinned fingerprint")
 			os.Exit(1)
 		}
-		fmt.Println("\nreplay (sequential engine) reproduced the pinned fingerprint")
+		fmt.Println("\nreplay (fresh compile) reproduced the pinned fingerprint")
 	}
 }

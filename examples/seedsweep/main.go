@@ -2,15 +2,13 @@
 //
 // A single sgml.Run answers "what happens in this drill with seed 7?"; real
 // IDS evaluation needs distributions — how do precision, recall and alert
-// latency behave across many seeds, and do the parallel engine and the
-// pooled data plane change any outcome? This example declares a Campaign
-// with two variants of the same red/blue drill:
+// latency behave across many seeds, and does a repeated seed reproduce its
+// outcome? This example declares a Campaign with two variants of the same
+// red/blue drill:
 //
-//   - "parallel": the shipped configuration (sharded step engine, pooled
-//     data plane), swept over four seeds,
-//   - "reference": the single-threaded engine with the copy-per-publish data
-//     plane, two seeds × two attempts each, which doubles as a determinism
-//     probe (repeated seeds must reproduce identical fingerprints).
+//   - "parallel": the drill swept over four seeds,
+//   - "repeated": two seeds × two attempts each, a determinism probe
+//     (repeated seeds must reproduce identical fingerprints).
 //
 // RunCampaign executes all eight runs concurrently on a bounded worker pool
 // and aggregates the per-variant distributions plus the determinism verdict.
@@ -106,14 +104,12 @@ func main() {
 	fmt.Printf("preview run: %d steps, precision=%.2f recall=%.2f\n\n",
 		preview.Steps, preview.Precision, preview.Recall)
 
-	reference := false
 	campaign := &sgml.Campaign{
 		Name:  "seedsweep",
 		Model: ms,
 		Variants: []sgml.CampaignVariant{
 			{Name: "parallel", Scenario: drill, Seeds: []int64{1, 2, 3, 4}},
-			{Name: "reference", Scenario: drill, Seeds: []int64{1, 2}, Repeat: 2,
-				Sequential: true, FramePooling: &reference},
+			{Name: "repeated", Scenario: drill, Seeds: []int64{1, 2}, Repeat: 2},
 		},
 	}
 

@@ -6,13 +6,16 @@ import (
 	"testing"
 
 	sgml "repro"
+
+	"repro/internal/core"
 )
 
 // TestForkDeterminism pins the fork contract: a run on a forked range is
 // byte-identical to a run on a freshly compiled range for the same (model,
-// scenario, seed), under both step engines, both data planes, and when many
-// forks of one compiled root run concurrently (the campaign pool's shape;
-// the -race build of this test is CI's fork soundness check).
+// scenario, seed), under the sharded and the test-only sequential engine, on
+// both data planes, and when many forks of one compiled root run
+// concurrently (the campaign pool's shape; the -race build of this test is
+// CI's fork soundness check).
 func TestForkDeterminism(t *testing.T) {
 	want := runDrill(t).Fingerprint() // fresh Compile + Run reference
 
@@ -26,30 +29,25 @@ func TestForkDeterminism(t *testing.T) {
 	}
 	defer root.Stop()
 
-	runForked := func(t *testing.T, opts ...sgml.RunOption) *sgml.RunReport {
-		t.Helper()
-		rep, err := sgml.RunCompiled(context.Background(), root, drillScenario(), opts...)
+	variants := []struct {
+		name    string
+		pooling bool
+		opts    []sgml.RunOption
+	}{
+		{"forked", true, nil},
+		{"forked again", true, nil}, // second fork off the same root (recycled fabric)
+		{"forked sequential engine", true, []sgml.RunOption{core.WithSequential()}},
+		{"forked frame pooling off", false, nil},
+		{"forked sequential + pooling off", false, []sgml.RunOption{core.WithSequential()}},
+	}
+	for _, v := range variants {
+		fork, err := root.Fork()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Err != "" {
-			t.Fatalf("forked run aborted: %s", rep.Err)
-		}
-		return rep
-	}
-
-	variants := []struct {
-		name string
-		opts []sgml.RunOption
-	}{
-		{"forked", nil},
-		{"forked again", nil}, // second fork off the same root (recycled fabric)
-		{"forked sequential engine", []sgml.RunOption{sgml.WithSequential()}},
-		{"forked frame pooling off", []sgml.RunOption{sgml.WithFramePooling(false)}},
-		{"forked sequential + pooling off", []sgml.RunOption{sgml.WithSequential(), sgml.WithFramePooling(false)}},
-	}
-	for _, v := range variants {
-		if got := runForked(t, v.opts...).Fingerprint(); got != want {
+		rep := runDrillOn(t, fork, v.pooling, v.opts...)
+		fork.Stop()
+		if got := rep.Fingerprint(); got != want {
 			t.Errorf("%s: fingerprint diverged from fresh compile\n--- want ---\n%s\n--- got ---\n%s", v.name, want, got)
 		}
 	}

@@ -16,17 +16,15 @@ var ErrCampaign = errors.New("core: invalid campaign")
 
 // Campaign is a declarative sweep over scenario runs: the population form of
 // the single (model, scenario, seed) experiment RunScenario executes. Each
-// variant pairs a scenario with a seed list and the engine/data-plane toggles
-// to run it under; RunCampaign expands the cross product into individual runs
-// and executes them concurrently on a bounded worker pool, one isolated
-// CyberRange per run.
+// variant pairs a scenario with a seed list; RunCampaign expands the cross
+// product into individual runs and executes them concurrently on a bounded
+// worker pool, one isolated CyberRange per run.
 //
 // Each distinct model is compiled once into a root range whose immutable
 // artifacts (parsed SCL, power-model template, device configs, prewarmed
 // solver) every run shares read-only; the mutable layers — fabric, coupling
 // cache, grid, devices — are never shared. Each run forks the root
-// (CyberRange.Fork) into a private range it starts and stops itself, or
-// compiles its own under WithPerRunCompile.
+// (CyberRange.Fork) into a private range it starts and stops itself.
 type Campaign struct {
 	Name string
 	// Model is the default model compiled for every run; a variant may
@@ -39,7 +37,7 @@ type Campaign struct {
 }
 
 // CampaignVariant is one cell of the sweep matrix: a scenario executed once
-// per (seed, attempt) under a fixed engine and data-plane choice.
+// per (seed, attempt).
 type CampaignVariant struct {
 	Name string
 	// Model overrides the campaign's default model for this variant.
@@ -53,12 +51,6 @@ type CampaignVariant struct {
 	// the variant into a determinism probe: all attempts of a (variant, seed)
 	// pair must produce identical RunReport fingerprints.
 	Repeat int
-	// Sequential drives the runs with the single-threaded reference step
-	// engine (StepAllSequential) instead of the sharded parallel engine.
-	Sequential bool
-	// FramePooling selects the pooled (true) or reference copy-per-publish
-	// (false) data plane; nil keeps the network's default (pooled).
-	FramePooling *bool
 	// MaxSteps caps each run of the variant at this many executed steps
 	// (0 = no budget): a scenario stepping past it aborts with a
 	// deterministic "step budget" error. See WithMaxSteps.
@@ -69,9 +61,9 @@ type CampaignVariant struct {
 // half of the campaign result path. RunCampaign delivers every executed run
 // to every attached sink from worker goroutines, in completion order (which
 // is scheduling-dependent; CampaignReport.Runs keeps declaration order
-// regardless). Cells that were cancelled before they executed are recorded
-// in the report but never delivered to sinks, so a persistent sink only ever
-// checkpoints real outcomes. Implementations must be safe for concurrent
+// regardless). Cancelled cells — never dispatched, or stopped mid-run by the
+// cancellation — are recorded in the report but never delivered to sinks, so
+// a persistent sink only ever checkpoints real outcomes. Implementations must be safe for concurrent
 // use; the first Put error fails the sweep (the report is still returned).
 //
 // The in-memory aggregation behind CampaignReport is itself just the default
@@ -129,8 +121,8 @@ type campaignRunSpec struct {
 	seed    int64
 	attempt int // 1-based repeat index
 	// root is the model's compile-once range; runs fork it instead of
-	// recompiling. nil under WithPerRunCompile (each run compiles), and when
-	// the root compile failed (rootErr carries the error to every run).
+	// recompiling. nil when the root compile failed (rootErr carries the
+	// error to every run).
 	root    *CyberRange
 	rootErr error
 	// rootErrTime is what the failed root compile cost: attributed as the
@@ -188,11 +180,11 @@ func (c *Campaign) normalizedVariants() ([]CampaignVariant, error) {
 
 // SpecHash returns the hex SHA-256 content hash of the campaign's normalized
 // declarative spec: every variant's name, model name, seed list, repeat
-// count and engine/data-plane toggles, plus its scenario's attackers and
-// typed events in their canonical one-line descriptions. The hash is a pure
-// function of the declaration — independent of the process, pointer
-// identity or run order — so durable stores key their on-disk layout by it
-// and an edited campaign can never resume into a stale record set.
+// count and step budget, plus its scenario's attackers and typed events in
+// their canonical one-line descriptions. The hash is a pure function of the
+// declaration — independent of the process, pointer identity or run order —
+// so durable stores key their on-disk layout by it and an edited campaign can
+// never resume into a stale record set.
 //
 // The hash covers the declarative sweep surface, not the model file bytes:
 // pointing the same-named model directory at different content is the
@@ -211,16 +203,11 @@ func (c *Campaign) SpecHash() (string, error) {
 	fmt.Fprintf(h, "campaign %q\n", name)
 	for i := range variants {
 		v := &variants[i]
-		engine := "parallel"
-		if v.Sequential {
-			engine = "sequential"
-		}
-		pooling := "default"
-		if v.FramePooling != nil {
-			pooling = fmt.Sprintf("%t", *v.FramePooling)
-		}
-		fmt.Fprintf(h, "variant %q model=%q seeds=%v repeat=%d engine=%s pooling=%s",
-			v.Name, v.Model.Name, v.Seeds, v.Repeat, engine, pooling)
+		// The engine and pooling tokens are constants: campaigns once chose
+		// both, and every store written without a choice is keyed by these
+		// defaults (pinned by TestCampaignSpecHashPinned).
+		fmt.Fprintf(h, "variant %q model=%q seeds=%v repeat=%d engine=parallel pooling=default",
+			v.Name, v.Model.Name, v.Seeds, v.Repeat)
 		if v.MaxSteps > 0 {
 			// Appended only when set, so pre-existing campaigns keep their
 			// store keys.
@@ -281,9 +268,9 @@ func (s *memorySink) Put(run CampaignRun) error {
 // (CyberRange.Fork): the expensive SG-ML pipeline — merge, model generation,
 // config validation, solver warm-up — runs once per model instead of once per
 // run, and stopped forks hand their fabric inboxes back for the next fork.
-// WithPerRunCompile restores the old compile-every-run behaviour; the two
-// paths produce byte-identical run fingerprints (pinned by the campaign fork
-// tests and BenchmarkScale_CampaignThroughput).
+// A fork is byte-identical to a fresh compile (pinned by the campaign fork
+// differential). The campaign pool already fills the CPUs, so each run's step
+// engine gets what is left over: max(1, GOMAXPROCS / workers) step workers.
 //
 // With a store attached (WithCampaignStore / sgml.WithStore) every executed
 // run is checkpointed as it completes, and WithResume pre-loads the store's
@@ -291,7 +278,9 @@ func (s *memorySink) Put(run CampaignRun) error {
 // and excluded from dispatch, so an interrupted sweep pays only for the
 // cells it never finished. Cancellation is prompt: the dispatcher watches
 // ctx and marks every not-yet-dispatched cell "cancelled before run" in bulk
-// instead of feeding the whole matrix through the pool.
+// instead of feeding the whole matrix through the pool. An in-flight run that
+// notices the cancellation is likewise recorded as a cancelled cell, never
+// delivered to sinks; cancelled cells count in the report's Failures.
 func RunCampaign(ctx context.Context, c *Campaign, opts ...CampaignOption) (*CampaignReport, error) {
 	cfg := optionSet{workers: c.Workers}
 	applyCampaign(opts, &cfg)
@@ -386,43 +375,42 @@ func RunCampaign(ctx context.Context, c *Campaign, opts ...CampaignOption) (*Cam
 
 	// Compile each model with pending cells once, up front (a fully-resumed
 	// sweep compiles nothing). A root compile failure is not fatal to the
-	// sweep: it is recorded on every run of the affected variants, exactly
-	// as the per-run compile error used to be.
+	// sweep: it is recorded on every run of the affected variants.
 	roots := make(map[*ModelSet]*CyberRange)
 	rootErrs := make(map[*ModelSet]error)
 	rootErrTimes := make(map[*ModelSet]time.Duration)
-	if !cfg.perRunCompile {
-		for _, idx := range pending {
-			ms := specs[idx].model
-			if _, ok := roots[ms]; ok {
-				continue
-			}
-			if _, ok := rootErrs[ms]; ok {
-				continue
-			}
-			compileStart := time.Now()
-			root, err := Compile(ms)
-			if err != nil {
-				rootErrs[ms] = err
-				rootErrTimes[ms] = time.Since(compileStart)
-				continue
-			}
-			// The root exists only to be forked: donate its idle fabric
-			// channels to the recycler so the sweep's first fork starts from
-			// a warm pool instead of allocating a fabric of its own.
-			root.releaseFabric()
-			roots[ms] = root
+	defer func() {
+		for _, root := range roots {
+			root.Stop()
 		}
-		defer func() {
-			for _, root := range roots {
-				root.Stop()
-			}
-		}()
-		for _, idx := range pending {
-			s := &specs[idx]
-			s.root, s.rootErr = roots[s.model], rootErrs[s.model]
-			s.rootErrTime = rootErrTimes[s.model]
+	}()
+	for _, idx := range pending {
+		ms := specs[idx].model
+		if _, ok := roots[ms]; ok {
+			continue
 		}
+		if _, ok := rootErrs[ms]; ok {
+			continue
+		}
+		compileStart := time.Now()
+		root, err := Compile(ms)
+		if err != nil {
+			rootErrs[ms] = err
+			rootErrTimes[ms] = time.Since(compileStart)
+			continue
+		}
+		// The root exists only to be forked: donate its idle fabric channels
+		// to the recycler so the sweep's first fork starts from a warm pool
+		// instead of allocating a fabric of its own. Its forks inherit the
+		// step pool set here.
+		root.releaseFabric()
+		root.engine.workers = campaignStepWorkers(cfg.workers)
+		roots[ms] = root
+	}
+	for _, idx := range pending {
+		s := &specs[idx]
+		s.root, s.rootErr = roots[s.model], rootErrs[s.model]
+		s.rootErrTime = rootErrTimes[s.model]
 	}
 
 	// The sink chain: the report's own in-memory aggregation first, then any
@@ -526,7 +514,7 @@ func RunCampaign(ctx context.Context, c *Campaign, opts ...CampaignOption) (*Cam
 	if cancelledAt >= 0 {
 		cause := ctx.Err()
 		for _, idx := range pending[cancelledAt:] {
-			record(cancelledRun(&specs[idx], cause))
+			record(cancelledRun(&specs[idx], fmt.Sprintf("cancelled before run: %v", cause)))
 		}
 	}
 	wg.Wait()
@@ -549,33 +537,34 @@ func RunCampaign(ctx context.Context, c *Campaign, opts ...CampaignOption) (*Cam
 	return rep, nil
 }
 
-// cancelledRun stamps a cell that will never execute because the context was
-// cancelled first. Cancelled cells are recorded in the report (the operator
-// sees exactly which cells are missing) but withheld from sinks.
-func cancelledRun(spec *campaignRunSpec, cause error) CampaignRun {
-	v := spec.variant
-	run := CampaignRun{
-		Variant: v.Name,
-		Seed:    spec.seed,
-		Attempt: spec.attempt,
-		Engine:  "parallel",
-	}
-	if v.Sequential {
-		run.Engine = "sequential"
-	}
-	run.FramePooling = v.FramePooling == nil || *v.FramePooling
-	run.Err = fmt.Sprintf("cancelled before run: %v", cause)
-	run.Failure = FailCancelled
-	run.cancelled = true
-	return run
+// campaignStepWorkers is the step-engine pool of one campaign run: the CPUs
+// the campaign's own pool of workers leaves over, never less than one.
+func campaignStepWorkers(workers int) int {
+	return max(1, runtime.GOMAXPROCS(0)/workers)
 }
 
-// executeCampaignRun performs one isolated attempt of a run: obtain a private
-// range — a fork of the model's compile-once root, or a fresh compile under
-// WithPerRunCompile — execute the scenario under its own deadline, tear down,
-// record, classify. try is the 1-based attempt number (see WithRetries); the
-// fault-injection probe receives it so injected faults can target one
-// attempt.
+// cancelledRun stamps a cell left without a result because the campaign
+// context was cancelled: one never handed to a worker, or one whose attempt
+// was stopped mid-run (a partial run is not a result). Cancelled cells are
+// recorded in the report (the operator sees exactly which cells are missing)
+// and counted in Failures, but withheld from sinks and stores.
+func cancelledRun(spec *campaignRunSpec, err string) CampaignRun {
+	v := spec.variant
+	return CampaignRun{
+		Variant:   v.Name,
+		Seed:      spec.seed,
+		Attempt:   spec.attempt,
+		Err:       err,
+		Failure:   FailCancelled,
+		cancelled: true,
+	}
+}
+
+// executeCampaignRun performs one isolated attempt of a run: fork the model's
+// compile-once root into a private range, execute the scenario under its own
+// deadline, tear down, record, classify. try is the 1-based attempt number
+// (see WithRetries); the fault-injection probe receives it so injected faults
+// can target one attempt.
 //
 // The function is the worker boundary for panic isolation: a panic anywhere
 // in the fork/start/step/teardown path is recovered here and converted into a
@@ -587,12 +576,7 @@ func executeCampaignRun(ctx context.Context, spec campaignRunSpec, cfg *optionSe
 		Variant: v.Name,
 		Seed:    spec.seed,
 		Attempt: spec.attempt,
-		Engine:  "parallel",
 	}
-	if v.Sequential {
-		run.Engine = "sequential"
-	}
-	run.FramePooling = v.FramePooling == nil || *v.FramePooling
 	defer func() {
 		if p := recover(); p != nil {
 			// Identity fields are already set; scrub any partial outcome so
@@ -606,13 +590,12 @@ func executeCampaignRun(ctx context.Context, spec campaignRunSpec, cfg *optionSe
 		}
 	}()
 	if err := ctx.Err(); err != nil {
-		return cancelledRun(&spec, err)
+		return cancelledRun(&spec, fmt.Sprintf("cancelled before run: %v", err))
 	}
 
-	// CompileTime records what this run paid to obtain its range: the fork
-	// (fast path) or the full compile (per-run-compile reference path) — on
-	// the failure paths too, so failed runs stay attributable in sinks and
-	// store records.
+	// CompileTime records what this run paid to obtain its range — on the
+	// failure paths too, so failed runs stay attributable in sinks and store
+	// records.
 	if spec.rootErr != nil {
 		// The shared root failed to compile once, up front; every run of the
 		// model inherits the error and is attributed the compile's real cost.
@@ -622,13 +605,7 @@ func executeCampaignRun(ctx context.Context, spec campaignRunSpec, cfg *optionSe
 		return run
 	}
 	compileStart := time.Now()
-	var r *CyberRange
-	var err error
-	if spec.root != nil {
-		r, err = spec.root.Fork()
-	} else {
-		r, err = Compile(spec.model)
-	}
+	r, err := spec.root.Fork()
 	run.CompileTime = time.Since(compileStart)
 	if err != nil {
 		run.Err = fmt.Sprintf("compile: %v", err)
@@ -649,12 +626,6 @@ func executeCampaignRun(ctx context.Context, spec campaignRunSpec, cfg *optionSe
 	}
 
 	opts := []RunOption{WithSeed(spec.seed)}
-	if v.Sequential {
-		opts = append(opts, WithSequential())
-	}
-	if v.FramePooling != nil {
-		opts = append(opts, WithFramePooling(*v.FramePooling))
-	}
 	if v.MaxSteps > 0 {
 		opts = append(opts, WithMaxSteps(v.MaxSteps))
 	}
@@ -669,9 +640,7 @@ func executeCampaignRun(ctx context.Context, spec campaignRunSpec, cfg *optionSe
 	report, err := RunScenario(runCtx, r, v.Scenario, opts...)
 	run.Duration = time.Since(runStart)
 	if err != nil {
-		run.Err = err.Error()
-		run.Failure = classifyRunFailure(ctx, runCtx)
-		return run
+		return failedRun(run, ctx, runCtx, &spec, err.Error())
 	}
 	run.Report = report
 	run.fingerprint = report.Fingerprint()
@@ -682,10 +651,20 @@ func executeCampaignRun(ctx context.Context, spec campaignRunSpec, cfg *optionSe
 	}
 	run.Precision = report.Precision
 	run.Recall = report.Recall
-	if report.Err != "" {
-		run.Err = report.Err
-		run.Failure = classifyRunFailure(ctx, runCtx)
-	}
 	run.EventErrors = report.FailedEvents()
+	if report.Err != "" {
+		return failedRun(run, ctx, runCtx, &spec, report.Err)
+	}
+	return run
+}
+
+// failedRun classifies an attempt that ended in err. An attempt stopped by
+// campaign cancellation becomes a cancelled cell rather than a failed result.
+func failedRun(run CampaignRun, ctx, runCtx context.Context, spec *campaignRunSpec, err string) CampaignRun {
+	run.Err = err
+	run.Failure = classifyRunFailure(ctx, runCtx)
+	if run.Failure == FailCancelled {
+		return cancelledRun(spec, "cancelled before run completed: "+err)
+	}
 	return run
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -216,31 +217,25 @@ func TestCampaignCancellation(t *testing.T) {
 
 func TestCampaignCompileTimeOnFailure(t *testing.T) {
 	// A failed provisioning step must still be attributed: the run records
-	// the compile error AND what the attempt cost, under both the shared
-	// compile-once root and the per-run-compile reference path.
+	// the compile error of the shared compile-once root AND what the attempt
+	// cost.
 	bad := &ModelSet{Name: "bad"} // no SCDs: Compile fails
 	c := &Campaign{Name: "ct", Model: bad, Variants: []CampaignVariant{
 		{Name: "only", Scenario: &Scenario{Name: "s", Steps: 1}, Seeds: []int64{1}},
 	}}
-	paths := map[string][]CampaignOption{
-		"forked":          {WithWorkers(1)},
-		"per-run-compile": {WithWorkers(1), WithPerRunCompile()},
-	}
-	for name, opts := range paths {
-		t.Run(name, func(t *testing.T) {
-			rep, err := RunCampaign(context.Background(), c, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := &rep.Runs[0]
-			if !strings.Contains(run.Err, "compile:") {
-				t.Fatalf("run.Err = %q, want a compile error", run.Err)
-			}
-			if run.CompileTime <= 0 {
-				t.Errorf("CompileTime = %v on the failure path, want > 0", run.CompileTime)
-			}
-		})
-	}
+	t.Run("forked", func(t *testing.T) {
+		rep, err := RunCampaign(context.Background(), c, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := &rep.Runs[0]
+		if !strings.Contains(run.Err, "compile:") {
+			t.Fatalf("run.Err = %q, want a compile error", run.Err)
+		}
+		if run.CompileTime <= 0 {
+			t.Errorf("CompileTime = %v on the failure path, want > 0", run.CompileTime)
+		}
+	})
 }
 
 func TestCampaignResumeRequiresStore(t *testing.T) {
@@ -271,7 +266,7 @@ func TestCampaignEventFailurePropagation(t *testing.T) {
 	c := &Campaign{Name: "c", Model: ms, Variants: []CampaignVariant{
 		{Name: "only", Scenario: sc, Seeds: []int64{1}},
 	}}
-	rep, err := RunCampaign(context.Background(), c, WithCampaignWorkers(1))
+	rep, err := RunCampaign(context.Background(), c, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,5 +279,41 @@ func TestCampaignEventFailurePropagation(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "orphan-stop") {
 		t.Error("human summary does not list the failed event")
+	}
+}
+
+// TestCampaignSpecHashPinned pins the store key of a campaign that selects no
+// engine or data plane to its literal value: durable stores are laid out by
+// SpecHash, so any drift here orphans every existing store of the campaign.
+// The hash still carries the "engine=parallel pooling=default" tokens that
+// such campaigns always wrote.
+func TestCampaignSpecHashPinned(t *testing.T) {
+	c := &Campaign{Name: "pinned", Model: &ModelSet{Name: "epic"}, Variants: []CampaignVariant{
+		{Name: "drill", Scenario: redBlueScenario(), Seeds: []int64{1, 2, 3}, Repeat: 2},
+		{Name: "capped", Scenario: &Scenario{Name: "quiet", Steps: 4}, MaxSteps: 3},
+	}}
+	got, err := c.SpecHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "bb2e8efe0ec13a528ca70887a88ddc7fb9528804d934a306956ad79fe77d03ea"
+	if got != want {
+		t.Fatalf("SpecHash = %s, want %s", got, want)
+	}
+}
+
+// TestCampaignStepWorkers pins how a campaign run's step pool is derived: a
+// lone campaign worker steps on every CPU, and a pool at least as wide as the
+// machine leaves each run a single step worker.
+func TestCampaignStepWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	cases := map[int]int{1: procs, procs: 1, 4 * procs: 1}
+	if procs >= 4 {
+		cases[2] = procs / 2
+	}
+	for workers, want := range cases {
+		if got := campaignStepWorkers(workers); got != want {
+			t.Errorf("GOMAXPROCS %d, %d campaign workers: step pool %d, want %d", procs, workers, got, want)
+		}
 	}
 }

@@ -16,14 +16,17 @@
 // generated grid at compile time, so a broken model fails with ErrModel
 // before anything runs.
 //
-// # Step engines
+// # Step engine
 //
 // CyberRange.StepAll advances one simulation interval with the sharded
 // two-phase engine (sched.go, shard.go): per-substation shards compute
 // concurrently with bus writes buffered into per-IED transactions, then a
-// commit phase applies them in globally sorted IED order. The committed
-// kv-bus/HMI state is byte-identical to CyberRange.StepAllSequential, the
-// retained single-threaded reference path.
+// commit phase applies them in globally sorted IED order. The pool is
+// runtime.GOMAXPROCS for a compiled range and max(1, GOMAXPROCS / campaign
+// workers) for a campaign run. The committed kv-bus/HMI state is
+// byte-identical to CyberRange.StepAllSequential, the single-threaded
+// reference path kept as a test oracle (with WithSequential as its test-only
+// RunScenario seam).
 //
 // # Scenario scheduler
 //
@@ -31,14 +34,14 @@
 // trigger + action pairs executed by a deterministic scheduler woven into
 // the step loop as pre/post hooks (SetStepHooks). RunScenario returns the
 // structured RunReport (runreport.go) whose deterministic projection
-// (Fingerprint) is identical across engines, data planes and repeated runs
-// for a fixed (model, scenario, seed).
+// (Fingerprint) is identical across repeated runs for a fixed (model,
+// scenario, seed), and against the reference engine and data plane.
 //
 // # Campaign engine
 //
 // Campaign (campaign.go) is the population form: a declarative sweep of
-// scenario variants × seed lists × engine/data-plane toggles, executed by
-// RunCampaign on a bounded worker pool with one isolated CyberRange per run
+// scenario variants × seed lists, executed by RunCampaign on a bounded
+// worker pool with one CyberRange forked per run from a compile-once root
 // and the parsed ModelSet shared read-only. The aggregated CampaignReport
 // (campaignreport.go) carries per-variant distributions (precision/recall,
 // alert latency, solver cache hit rate, data-plane throughput, step-time

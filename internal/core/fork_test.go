@@ -3,62 +3,69 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 )
 
 // TestCampaignForkDifferential is the differential fingerprint check behind
-// the fork fast path: the same campaign — sweeping both step engines, both
-// data planes, repeats and several seeds — executed once on the default
-// compile-once-fork-per-run path and once under WithPerRunCompile must
-// produce the identical fingerprint for every (variant, seed, attempt)
-// triple. Any divergence means a fork leaked or dropped state relative to a
-// fresh compile.
+// the fork fast path: every (seed, attempt) run of a campaign — forked from
+// the compile-once root on the derived step pool — must reproduce the
+// fingerprint of a fresh Compile + RunScenario of the same seed, under the
+// sharded engine, the sequential reference engine and the reference
+// copy-per-publish data plane alike. Any divergence means a fork leaked or
+// dropped state relative to a fresh compile.
 func TestCampaignForkDifferential(t *testing.T) {
 	ms := epicModelSet(t)
 	sc := redBlueScenario()
-	pooled, unpooled := true, false
+	seeds := []int64{7, 11}
 	c := &Campaign{Name: "fork-diff", Model: ms, Variants: []CampaignVariant{
-		{Name: "parallel-pooled", Scenario: sc, Seeds: []int64{7, 11}, Repeat: 2},
-		{Name: "sequential", Scenario: sc, Seeds: []int64{7}, Sequential: true, FramePooling: &pooled},
-		{Name: "parallel-unpooled", Scenario: sc, Seeds: []int64{7}, FramePooling: &unpooled},
+		{Name: "drill", Scenario: sc, Seeds: seeds, Repeat: 2},
 	}}
-
-	key := func(r *CampaignRun) string {
-		return fmt.Sprintf("%s/%d#%d", r.Variant, r.Seed, r.Attempt)
+	rep, err := RunCampaign(context.Background(), c, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	collect := func(t *testing.T, opts ...CampaignOption) map[string]string {
+	if !rep.OK() {
+		t.Fatalf("campaign not OK:\n%s", rep.String())
+	}
+
+	fresh := func(seed int64, pooling bool, opts ...RunOption) string {
 		t.Helper()
-		rep, err := RunCampaign(context.Background(), c, opts...)
+		r, err := Compile(ms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.OK() {
-			t.Fatalf("campaign not OK:\n%s", rep.String())
+		defer r.Stop()
+		r.Net.SetFramePooling(pooling)
+		got, err := RunScenario(context.Background(), r, sc, append(opts, WithSeed(seed))...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		out := make(map[string]string, len(rep.Runs))
+		return got.Fingerprint()
+	}
+	for _, seed := range seeds {
+		refs := map[string]string{
+			"fresh":             fresh(seed, true),
+			"fresh sequential":  fresh(seed, true, WithSequential()),
+			"fresh pooling off": fresh(seed, false),
+		}
 		for i := range rep.Runs {
-			out[key(&rep.Runs[i])] = rep.Runs[i].fingerprint
-		}
-		return out
-	}
-
-	forked := collect(t, WithWorkers(2))
-	perRun := collect(t, WithWorkers(2), WithPerRunCompile())
-	if len(forked) != len(perRun) {
-		t.Fatalf("run counts differ: forked %d, per-run-compile %d", len(forked), len(perRun))
-	}
-	for k, want := range perRun {
-		if got := forked[k]; got != want {
-			t.Errorf("%s: forked fingerprint diverged from per-run compile\n--- per-run ---\n%s\n--- forked ---\n%s", k, want, got)
+			run := &rep.Runs[i]
+			if run.Seed != seed {
+				continue
+			}
+			for name, want := range refs {
+				if run.fingerprint != want {
+					t.Errorf("seed %d attempt %d: forked fingerprint diverged from %s\n--- %s ---\n%s\n--- forked ---\n%s",
+						seed, run.Attempt, name, name, want, run.fingerprint)
+				}
+			}
 		}
 	}
 }
 
 // TestCampaignRootCompileFailure pins that a root compile error under the
-// fork path is recorded on every affected run — same contract as the old
-// per-run compile error — without aborting the sweep.
+// fork path is recorded on every affected run without aborting the sweep.
 func TestCampaignRootCompileFailure(t *testing.T) {
 	c := &Campaign{Name: "broken", Model: &ModelSet{Name: "empty"}, Variants: []CampaignVariant{
 		{Name: "v", Scenario: &Scenario{Name: "s", Steps: 2}, Seeds: []int64{1, 2}},

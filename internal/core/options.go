@@ -5,30 +5,24 @@ import (
 	"time"
 )
 
-// Unified option surface for Compile, RunScenario and RunCampaign.
+// Option families for RunScenario and RunCampaign.
 //
-// The three entry points historically took three unrelated function-typed
-// option families (CompileOption, RunOption, CampaignOption), which made the
-// one genuinely shared knob — the worker count — exist under two names with
-// incompatible types. The families are now interfaces over a single option
-// set: each With* constructor returns a value implementing exactly the
-// interfaces of the calls it is meaningful for, so passing WithSeed to
-// Compile is still a compile-time error while WithWorkers is accepted
-// everywhere. The old names (WithCampaignWorkers) remain as thin deprecated
-// aliases.
+// Each family is an interface over a single option set: each With*
+// constructor returns a value implementing exactly the interfaces of the
+// calls it is meaningful for, so passing WithSeed to RunCampaign is a
+// compile-time error rather than a silent no-op. Compile takes no options:
+// every range is stepped by the sharded engine on a pool derived from
+// runtime.GOMAXPROCS (see Compile and RunCampaign).
 
 // optionSet is the merged configuration every option applies into. Each entry
 // point reads only the fields its narrowed interface can set.
 type optionSet struct {
-	workers       int // step-engine pool (Compile/Run) or campaign pool (RunCampaign); 0 = default
-	seed          int64
-	sequential    bool
-	pooling       bool
-	poolingSet    bool
-	perRunCompile bool
-	sinks         []RunSink   // extra streaming observers (WithRunSink)
-	storeOpen     StoreOpener // deferred store constructor (WithCampaignStore)
-	resume        bool        // skip cells the store already holds (WithResume)
+	workers    int // campaign pool (RunCampaign); 0 = default
+	seed       int64
+	sequential bool        // test-only reference engine (WithSequential)
+	sinks      []RunSink   // extra streaming observers (WithRunSink)
+	storeOpen  StoreOpener // deferred store constructor (WithCampaignStore)
+	resume     bool        // skip cells the store already holds (WithResume)
 
 	// Fault-tolerance knobs (WithRunTimeout / WithRetries) and the
 	// fault-injection seams (WithRunProbe at campaign level, stepProbe as its
@@ -38,12 +32,6 @@ type optionSet struct {
 	runProbe   RunProbe
 	stepProbe  func(ctx context.Context, step int) error
 	maxSteps   int
-}
-
-// CompileOption tunes the compiled range (accepted by Compile).
-type CompileOption interface {
-	applyOption(*optionSet)
-	compileOption()
 }
 
 // RunOption tunes a scenario run (accepted by RunScenario and the public
@@ -59,38 +47,17 @@ type CampaignOption interface {
 	campaignOption()
 }
 
-// Option is the shared subset: an option meaningful to Compile, RunScenario
-// and RunCampaign alike (see WithWorkers). Any Option can be passed wherever
-// one of the three narrower families is expected.
-type Option interface {
-	CompileOption
-	RunOption
-	CampaignOption
-}
-
-// workersOption implements every family: the one knob all three calls share.
 type workersOption int
 
 func (w workersOption) applyOption(o *optionSet) { o.workers = int(w) }
-func (workersOption) compileOption()             {}
-func (workersOption) runOption()                 {}
 func (workersOption) campaignOption()            {}
 
-// WithWorkers sets the worker-pool size of the receiving call:
-//
-//   - Compile: the parallel step engine's pool (default runtime.GOMAXPROCS(0);
-//     1 keeps the two-phase engine on a single goroutine).
-//   - RunScenario / Run: overrides the compiled range's step-engine pool for
-//     the run. Worker count never changes committed state or fingerprints.
-//   - RunCampaign: how many runs execute concurrently, each on its own
-//     isolated range (1 executes the sweep sequentially).
-func WithWorkers(n int) Option { return workersOption(n) }
-
-// WithCampaignWorkers sets the campaign worker-pool size.
-//
-// Deprecated: WithCampaignWorkers is the pre-unification name; it is exactly
-// WithWorkers restricted to campaigns. Use WithWorkers.
-func WithCampaignWorkers(n int) CampaignOption { return workersOption(n) }
+// WithWorkers sets how many campaign runs execute concurrently, each on its
+// own isolated range (default runtime.GOMAXPROCS; 1 executes the sweep
+// sequentially). Each run's step engine gets the CPUs the campaign pool
+// leaves over: max(1, GOMAXPROCS / workers). Worker count never changes
+// committed state or run fingerprints.
+func WithWorkers(n int) CampaignOption { return workersOption(n) }
 
 type seedOption int64
 
@@ -106,32 +73,11 @@ type sequentialOption struct{}
 func (sequentialOption) applyOption(o *optionSet) { o.sequential = true }
 func (sequentialOption) runOption()               {}
 
-// WithSequential drives the run with StepAllSequential (the single-threaded
-// reference engine) instead of the sharded parallel engine. The determinism
-// tests diff reports across the two.
+// WithSequential drives the run with StepAllSequential, the single-threaded
+// reference engine, instead of the sharded engine. Test-only seam, like
+// WithRunProbe: the determinism tests diff fingerprints across the two
+// engines. It is not part of the public sgml surface.
 func WithSequential() RunOption { return sequentialOption{} }
-
-type framePoolingOption bool
-
-func (p framePoolingOption) applyOption(o *optionSet) { o.pooling = bool(p); o.poolingSet = true }
-func (framePoolingOption) runOption()                 {}
-
-// WithFramePooling selects the pooled (true) or reference copy-per-publish
-// (false) data plane for the run; unset leaves the network's default.
-func WithFramePooling(on bool) RunOption { return framePoolingOption(on) }
-
-type perRunCompileOption struct{}
-
-func (perRunCompileOption) applyOption(o *optionSet) { o.perRunCompile = true }
-func (perRunCompileOption) campaignOption()          {}
-
-// WithPerRunCompile makes RunCampaign compile a fresh range for every run
-// (the pre-fork reference path) instead of compiling each distinct model once
-// and forking per run. The two paths produce byte-identical run fingerprints
-// — pinned by the campaign fork tests and the campaign-throughput bench —
-// so this knob exists for ablation and as the conservative fallback, not for
-// correctness.
-func WithPerRunCompile() CampaignOption { return perRunCompileOption{} }
 
 type runSinkOption struct{ sink RunSink }
 
@@ -247,13 +193,7 @@ func (maxStepsOption) runOption()                 {}
 // (CampaignVariant.MaxSteps, maxSteps in the XML schema).
 func WithMaxSteps(n int) RunOption { return maxStepsOption(n) }
 
-// applyCompile/applyRun/applyCampaign adapt the narrowed slices to apply.
-func applyCompile(opts []CompileOption, o *optionSet) {
-	for _, opt := range opts {
-		opt.applyOption(o)
-	}
-}
-
+// applyRun/applyCampaign adapt the narrowed slices to apply.
 func applyRun(opts []RunOption, o *optionSet) {
 	for _, opt := range opts {
 		opt.applyOption(o)

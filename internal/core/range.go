@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -93,7 +92,6 @@ type rangeArtifacts struct {
 	scadaImp   *sgmlconf.ScadaImport // nil when the model has no SCADA config
 	scadaHost  string
 	shardHints map[string]string
-	workers    int // compile-time default engine pool size
 
 	// simTmpl is a never-started simulator holding the prewarmed solver
 	// template; each instantiation forks its solver so the first real solve
@@ -118,15 +116,15 @@ type plcBuild struct {
 // Nothing is started; call Start (real-time) or StepAll (deterministic).
 // The expensive derivation work (merge, model generation, config validation,
 // solver warm-up) is kept on the range as shared immutable artifacts, so
-// Fork can clone the range for another run without repeating it.
-func Compile(ms *ModelSet, opts ...CompileOption) (*CyberRange, error) {
-	var co optionSet
-	applyCompile(opts, &co)
-	a, built, err := buildArtifacts(ms, co.workers)
+// Fork can clone the range for another run without repeating it. The step
+// engine's pool is runtime.GOMAXPROCS(0): a range stepped alone has the
+// machine to itself.
+func Compile(ms *ModelSet) (*CyberRange, error) {
+	a, built, err := buildArtifacts(ms)
 	if err != nil {
 		return nil, err
 	}
-	return a.instantiate(built, a.workers)
+	return a.instantiate(built, runtime.GOMAXPROCS(0))
 }
 
 // Fork clones a compiled, not-yet-started range into a fully isolated
@@ -135,7 +133,8 @@ func Compile(ms *ModelSet, opts ...CompileOption) (*CyberRange, error) {
 // artifacts), and freshly instantiated IEDs, PLCs and SCADA from the
 // precompiled configs. Fork and Compile share one assembly path, so a forked
 // range's runs are byte-identical to a freshly compiled range's (pinned by
-// TestForkDeterminism and the campaign differential tests). Forks may be
+// TestForkDeterminism and the campaign differential tests). A fork inherits
+// the step-engine pool size of the range it was forked from. Forks may be
 // created concurrently and forked again; each owns its own Stop.
 func (r *CyberRange) Fork() (*CyberRange, error) {
 	if r.started {
@@ -167,10 +166,7 @@ func (r *CyberRange) releaseFabric() {
 // one-time generation of the root fabric, and precomputes every immutable
 // input of range assembly: validated power events, per-IED and per-PLC
 // configurations, the parsed SCADA import and the prewarmed solver template.
-func buildArtifacts(ms *ModelSet, workers int) (*rangeArtifacts, *BuiltNetwork, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func buildArtifacts(ms *ModelSet) (*rangeArtifacts, *BuiltNetwork, error) {
 	if ms.Name == "" {
 		ms.Name = "sgml-range"
 	}
@@ -203,7 +199,6 @@ func buildArtifacts(ms *ModelSet, workers int) (*rangeArtifacts, *BuiltNetwork, 
 		cons:       cons,
 		grid:       grid,
 		shardHints: ms.ShardHints,
-		workers:    workers,
 		busTmpl:    kvbus.New(),
 		recycler:   netem.NewInboxRecycler(),
 	}
@@ -430,9 +425,6 @@ func (a *rangeArtifacts) instantiate(built *BuiltNetwork, workers int) (*CyberRa
 
 	// Stage 8: step scheduler — partition devices along the substation
 	// hierarchy and build the bounded-pool two-phase engine.
-	if workers < 1 {
-		workers = 1
-	}
 	r.shards = partitionShards(a.cons.SubstationOf, a.shardHints, r.IEDs, r.PLCs)
 	r.engine = newStepEngine(r.shards, workers, r.IEDs, r.PLCs, bus)
 	return r, nil
@@ -569,36 +561,21 @@ func (r *CyberRange) plcBindingsOf(name string) map[string]bool {
 // physical solve, then the sharded two-phase device pass (parallel IED
 // compute with buffered bus writes, ordered commit, PLC scans), one HMI poll.
 // The committed state is byte-identical to StepAllSequential.
-func (r *CyberRange) StepAll(now time.Time) error {
-	step := r.stepIndex
-	if r.preStep != nil {
-		if err := r.preStep(step, now); err != nil {
-			return err
-		}
-	}
-	if _, err := r.Sim.Step(); err != nil {
-		return err
-	}
-	if err := r.engine.step(now); err != nil {
-		return err
-	}
-	if r.HMI != nil {
-		r.HMI.PollOnce()
-	}
-	r.stepIndex++
-	if r.postStep != nil {
-		return r.postStep(step, now)
-	}
-	return nil
-}
+func (r *CyberRange) StepAll(now time.Time) error { return r.step(now, false) }
 
 // StepAllSequential is the single-threaded reference engine: every IED in
 // sorted order with immediate bus writes, then every PLC in shard/name
 // order — the exact order the parallel engine commits in. Like the parallel
 // path, it scans every PLC before reporting the first error, so a failing
-// scan never forks the two engines' state. The determinism test and the
-// parallel-engine ablation bench diff StepAll against it.
-func (r *CyberRange) StepAllSequential(now time.Time) error {
+// scan never forks the two engines' state. It is a test oracle: the
+// determinism tests, the parallel-engine ablation bench and the benchmark's
+// XL check diff StepAll against it.
+func (r *CyberRange) StepAllSequential(now time.Time) error { return r.step(now, true) }
+
+// step is the skeleton both engines share: pre-hook, physical solve, the
+// device pass (the only part that differs), HMI poll, step-index bump,
+// post-hook.
+func (r *CyberRange) step(now time.Time, sequential bool) error {
 	step := r.stepIndex
 	if r.preStep != nil {
 		if err := r.preStep(step, now); err != nil {
@@ -608,24 +585,12 @@ func (r *CyberRange) StepAllSequential(now time.Time) error {
 	if _, err := r.Sim.Step(); err != nil {
 		return err
 	}
-	names := make([]string, 0, len(r.IEDs))
-	for n := range r.IEDs {
-		names = append(names, n)
+	device := r.engine.step
+	if sequential {
+		device = r.engine.stepSequential
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		r.IEDs[n].Step(now)
-	}
-	var firstErr error
-	for _, s := range r.shards {
-		for _, n := range s.PLCs {
-			if err := r.PLCs[n].Scan(now); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if firstErr != nil {
-		return firstErr
+	if err := device(now); err != nil {
+		return err
 	}
 	if r.HMI != nil {
 		r.HMI.PollOnce()

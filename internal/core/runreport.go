@@ -13,9 +13,8 @@ import (
 // closing state of the grid, plus the range's solver and data-plane counters.
 //
 // Everything outside Diag is deterministic for a fixed (model, scenario,
-// seed): two runs — under either step engine and with frame pooling on or
-// off — produce identical values, which Fingerprint canonicalises for
-// replay tests. Diag collects wall-clock-coupled counters (solve times,
+// seed): two runs produce identical values, which Fingerprint canonicalises
+// for replay tests. Diag collects wall-clock-coupled counters (solve times,
 // frame/retransmission counts) that vary run to run and is excluded from the
 // fingerprint.
 type RunReport struct {
@@ -23,12 +22,6 @@ type RunReport struct {
 	Seed     int64
 	Steps    int
 	Interval time.Duration
-	// Engine and FramePooling record how the run was driven ("parallel" or
-	// "sequential"; pooled or reference data plane). They are run metadata,
-	// not outcomes, and are excluded from Fingerprint so the determinism
-	// contract can be stated ACROSS engines and pooling modes.
-	Engine       string
-	FramePooling bool
 	// Err is set when the run aborted (solver divergence, cancelled context);
 	// the report still carries everything observed up to the abort.
 	Err string
@@ -141,8 +134,7 @@ func (rep *RunReport) Fingerprint() string {
 func (rep *RunReport) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "=== scenario %q ===\n", rep.Scenario)
-	fmt.Fprintf(&sb, "seed %d · %d steps @ %v · %s engine · frame pooling %v\n",
-		rep.Seed, rep.Steps, rep.Interval, rep.Engine, rep.FramePooling)
+	fmt.Fprintf(&sb, "seed %d · %d steps @ %v\n", rep.Seed, rep.Steps, rep.Interval)
 	if rep.Err != "" {
 		fmt.Fprintf(&sb, "RUN ABORTED: %s\n", rep.Err)
 	}

@@ -89,6 +89,24 @@ func (e *stepEngine) step(now time.Time) error {
 	return e.scanPLCs(now)
 }
 
+// stepSequential is the reference device pass: every IED in sorted order with
+// immediate bus writes, then every PLC in shard/name order, reporting the
+// first scan error only after all PLCs have scanned.
+func (e *stepEngine) stepSequential(now time.Time) error {
+	for _, name := range e.iedOrder {
+		e.ieds[name].Step(now)
+	}
+	var firstErr error
+	for _, s := range e.shards {
+		for _, name := range s.PLCs {
+			if err := e.plcs[name].Scan(now); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+	}
+	return firstErr
+}
+
 // stepIEDs is the two-phase IED pass.
 func (e *stepEngine) stepIEDs(now time.Time) {
 	e.forEach(len(e.shards), func(i int) {

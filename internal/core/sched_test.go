@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -39,14 +40,19 @@ func scaleModelSet(t *testing.T, nSubs, feeders int) *ModelSet {
 }
 
 // runSteps compiles ms, starts the range step-driven, and advances it N
-// intervals from a fixed base instant. step selects the engine under test.
-func runSteps(t *testing.T, ms *ModelSet, steps int, step func(*CyberRange, time.Time) error, opts ...CompileOption) *CyberRange {
+// intervals from a fixed base instant. step selects the engine under test;
+// workers > 0 overrides the step-engine pool (default GOMAXPROCS, which the
+// CI -cpu run varies).
+func runSteps(t *testing.T, ms *ModelSet, steps int, step func(*CyberRange, time.Time) error, workers int) *CyberRange {
 	t.Helper()
-	r, err := Compile(ms, opts...)
+	r, err := Compile(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Stop)
+	if workers > 0 {
+		r.engine.workers = workers
+	}
 	if err := r.Start(context.Background(), false); err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +113,12 @@ func diffRanges(t *testing.T, seq, par *CyberRange) {
 	}
 }
 
-func testDeterminism(t *testing.T, ms1, ms2 *ModelSet, steps int, opts ...CompileOption) {
-	seq := runSteps(t, ms1, steps, (*CyberRange).StepAllSequential, WithWorkers(1))
-	par := runSteps(t, ms2, steps, (*CyberRange).StepAll, opts...)
+func testDeterminism(t *testing.T, ms1, ms2 *ModelSet, steps int) {
+	seq := runSteps(t, ms1, steps, (*CyberRange).StepAllSequential, 0)
+	par := runSteps(t, ms2, steps, (*CyberRange).StepAll, 0)
+	if par.Workers() != runtime.GOMAXPROCS(0) {
+		t.Errorf("step pool = %d, want GOMAXPROCS %d", par.Workers(), runtime.GOMAXPROCS(0))
+	}
 	diffRanges(t, seq, par)
 	// The scenario must actually have fired protection, or the diff proved
 	// nothing about IED write ordering.
@@ -149,30 +158,20 @@ func TestParallelStepDeterminismEPIC(t *testing.T) {
 
 func TestParallelStepWorkerEdgeCases(t *testing.T) {
 	t.Run("workers=1", func(t *testing.T) {
-		seq := runSteps(t, scaleModelSet(t, 3, 4), 40, (*CyberRange).StepAllSequential, WithWorkers(1))
-		par := runSteps(t, scaleModelSet(t, 3, 4), 40, (*CyberRange).StepAll, WithWorkers(1))
+		seq := runSteps(t, scaleModelSet(t, 3, 4), 40, (*CyberRange).StepAllSequential, 0)
+		par := runSteps(t, scaleModelSet(t, 3, 4), 40, (*CyberRange).StepAll, 1)
 		if par.Workers() != 1 {
 			t.Fatalf("workers = %d", par.Workers())
 		}
 		diffRanges(t, seq, par)
 	})
 	t.Run("workers>shards", func(t *testing.T) {
-		seq := runSteps(t, scaleModelSet(t, 3, 4), 40, (*CyberRange).StepAllSequential, WithWorkers(1))
-		par := runSteps(t, scaleModelSet(t, 3, 4), 40, (*CyberRange).StepAll, WithWorkers(64))
+		seq := runSteps(t, scaleModelSet(t, 3, 4), 40, (*CyberRange).StepAllSequential, 0)
+		par := runSteps(t, scaleModelSet(t, 3, 4), 40, (*CyberRange).StepAll, 64)
 		if got := len(par.Shards()); got != 3 {
 			t.Fatalf("shards = %d, want 3", got)
 		}
 		diffRanges(t, seq, par)
-	})
-	t.Run("workers=0 clamps to 1", func(t *testing.T) {
-		r, err := Compile(scaleModelSet(t, 1, 1), WithWorkers(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Stop()
-		if r.Workers() != 1 {
-			t.Errorf("workers = %d, want 1", r.Workers())
-		}
 	})
 }
 

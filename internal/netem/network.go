@@ -122,9 +122,8 @@ const inboxDepth = 4096
 // dominates fabric construction cost at scale — ~200 KB of channel buffer per
 // device that the runtime must zero — so a range fork that rebuilds its fabric
 // from a recycler skips nearly all of that allocation. The recycler is
-// deliberately NOT a global pool: the reference per-run-compile path keeps its
-// plain make-per-device cost, and channels never migrate between unrelated
-// models.
+// deliberately NOT a global pool: a fresh compile keeps its plain
+// make-per-device cost, and channels never migrate between unrelated models.
 //
 // Safety contract: a channel enters the free list only after the owning
 // Network's Stop has removed every device entry under the network mutex and

@@ -18,7 +18,7 @@ import (
 //
 // Replaying an entry means parsing the XML, running it under the sidecar's
 // step cap, and asserting both the pinned fingerprint and the oracle's
-// verdict — under either step engine and either provisioning path.
+// verdict — on a fresh compile or a fork.
 
 // CorpusEntry is one checked-in minimized repro.
 type CorpusEntry struct {

@@ -10,8 +10,8 @@ import (
 // Oracle is an interestingness predicate over a completed run. Assess must
 // depend only on the deterministic sections of the report (everything the
 // fingerprint covers — events, truth, alerts, scores, grid, the abort error)
-// so a verdict replays identically under either step engine and either
-// provisioning path; the Diag section is off-limits.
+// so a verdict replays identically on a fresh compile or a fork; the Diag
+// section is off-limits.
 type Oracle interface {
 	// Key names the oracle; finds and corpus sidecars are keyed by it.
 	Key() string

@@ -13,7 +13,7 @@
 // search seed and drawn only between evaluations, and evaluation results are
 // processed in candidate order, so a fixed (model, seed scenario, search
 // seed, budget) reproduces the same finds, minimized repros and fingerprints
-// regardless of worker count, step engine or provisioning path.
+// regardless of worker count.
 //
 // "Coverage" is behavioural: each run is reduced to a signature over its
 // fingerprint-stable outcome (grid state, alert set, ground-truth detection,
@@ -72,10 +72,6 @@ type Options struct {
 	Workers int
 	// MaxSteps caps each candidate run (default DefaultMaxSteps).
 	MaxSteps int
-	// Sequential evaluates candidates under the single-threaded reference
-	// step engine instead of the sharded parallel engine. Either engine
-	// yields the same finds and fingerprints.
-	Sequential bool
 	// Oracles are the interestingness predicates (default DefaultOracles).
 	Oracles []Oracle
 }
@@ -281,11 +277,7 @@ func (s *searcher) evalOne(ctx context.Context, cfg *sgmlconf.ScenarioConfig) ev
 		return evalResult{err: err}
 	}
 	defer fork.Stop()
-	opts := []core.RunOption{core.WithMaxSteps(s.opts.MaxSteps)}
-	if s.opts.Sequential {
-		opts = append(opts, core.WithSequential())
-	}
-	rep, err := core.RunScenario(ctx, fork, sc, opts...)
+	rep, err := core.RunScenario(ctx, fork, sc, core.WithMaxSteps(s.opts.MaxSteps))
 	if err != nil {
 		return evalResult{err: err}
 	}

@@ -19,8 +19,7 @@
 //     impairments, attack steps, IDS deployment), executed headlessly by
 //     "rangectl scenario run";
 //   - Campaign XML (campaign.go) — the sweep form: scenario variants × seed
-//     ranges × engine/data-plane toggles, executed concurrently by
-//     "rangectl campaign run".
+//     ranges, executed concurrently by "rangectl campaign run".
 //
 // There is also the PLC mapping config (plcconfig.go) binding PLC variables
 // to IED data references and Modbus registers.

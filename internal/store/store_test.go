@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +28,6 @@ func synthRun(variant string, seed int64, attempt int) core.CampaignRun {
 	}
 	run := core.CampaignRun{
 		Variant: variant, Seed: seed, Attempt: attempt,
-		Engine: "parallel", FramePooling: true,
 		Steps: 5, Precision: 1, Recall: 1,
 		Report: rep,
 	}
@@ -117,6 +118,26 @@ func TestStoreJSONLRoundtripAcrossReopen(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A record written before campaigns lost their engine and data-plane
+	// choice still carries those keys, on the run row and on its report.
+	legacy := synthRun("v", 4, 1)
+	puts = append(puts, legacy)
+	payload, err := json.Marshal(runRecord{Run: legacy, Report: legacy.Report})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = bytes.Replace(payload, []byte(`"run":{`), []byte(`"run":{"engine":"sequential","framePooling":false,`), 1)
+	payload = bytes.Replace(payload, []byte(`"report":{`), []byte(`"report":{"Engine":"sequential","FramePooling":false,`), 1)
+	f, err := os.OpenFile(filepath.Join(st.Dir(), runsFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(encodeFrame(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Reopen: the durable records come back, the aborted cell does not.
 	st2, err := OpenJSONL(dir, c)
@@ -124,7 +145,7 @@ func TestStoreJSONLRoundtripAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if !st2.Done("v", 1, 1) || !st2.Done("v", 2, 1) {
+	if !st2.Done("v", 1, 1) || !st2.Done("v", 2, 1) || !st2.Done("v", 4, 1) {
 		t.Fatal("persisted cells lost across reopen")
 	}
 	if st2.Done("v", 3, 1) {
@@ -134,8 +155,8 @@ func TestStoreJSONLRoundtripAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) != 2 {
-		t.Fatalf("Load returned %d runs, want 2", len(rep.Runs))
+	if len(rep.Runs) != len(puts) {
+		t.Fatalf("Load returned %d runs, want %d", len(rep.Runs), len(puts))
 	}
 	for i := range rep.Runs {
 		got, want := &rep.Runs[i], &puts[i]

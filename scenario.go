@@ -79,8 +79,7 @@ type (
 	// RunDiagnostics are the wall-clock-coupled counters of a run.
 	RunDiagnostics = core.RunDiagnostics
 
-	// RunOption tunes a scenario run (WithSeed, WithSequential,
-	// WithFramePooling, WithMaxSteps).
+	// RunOption tunes a scenario run (WithSeed, WithMaxSteps).
 	RunOption = core.RunOption
 
 	// AlertKind classifies IDS alerts (see the repro/ids facade for the
@@ -157,14 +156,6 @@ func TamperRegister(attacker, plcName string, addr, value uint16) ModbusTamper {
 // the run (attacker MAC derivation, port-scan order, the fabric's loss
 // generator) derives from it, so a fixed seed replays byte-identically.
 func WithSeed(seed int64) RunOption { return core.WithSeed(seed) }
-
-// WithSequential drives the run with the single-threaded reference step
-// engine (StepAllSequential) instead of the sharded parallel engine.
-func WithSequential() RunOption { return core.WithSequential() }
-
-// WithFramePooling selects the pooled (true) or reference copy-per-publish
-// (false) data plane for the run.
-func WithFramePooling(on bool) RunOption { return core.WithFramePooling(on) }
 
 // WithMaxSteps caps the run at n steps; a scenario asking for more aborts
 // deterministically with a "step budget" report error. Scenario search bounds

@@ -8,6 +8,7 @@ import (
 
 	sgml "repro"
 
+	"repro/internal/core"
 	"repro/mms"
 	"repro/netem"
 )
@@ -64,10 +65,26 @@ func runDrill(t *testing.T, opts ...sgml.RunOption) *sgml.RunReport {
 	return rep
 }
 
+// runDrillOn runs the drill on r after switching it to the reference
+// copy-per-publish data plane when pooling is false.
+func runDrillOn(t *testing.T, r *sgml.CyberRange, pooling bool, opts ...sgml.RunOption) *sgml.RunReport {
+	t.Helper()
+	r.Net.SetFramePooling(pooling)
+	rep, err := sgml.RunRange(context.Background(), r, drillScenario(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Err != "" {
+		t.Fatalf("run aborted: %s", rep.Err)
+	}
+	return rep
+}
+
 // TestScenarioDeterminism pins the scenario layer's replay contract: a fixed
 // (model, scenario, seed) produces an identical RunReport fingerprint under
-// the parallel and the sequential step engine, with frame pooling on or off,
-// and across repeated runs.
+// the sharded engine and the test-only sequential reference engine, on the
+// pooled and the reference copy-per-publish data plane, and across repeated
+// runs.
 func TestScenarioDeterminism(t *testing.T) {
 	base := runDrill(t)
 	if base.Recall != 1 {
@@ -75,17 +92,27 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 	want := base.Fingerprint()
 
+	ms, err := sgml.EPICModelSet()
+	if err != nil {
+		t.Fatal(err)
+	}
 	variants := []struct {
-		name string
-		opts []sgml.RunOption
+		name    string
+		pooling bool
+		opts    []sgml.RunOption
 	}{
-		{"repeat", nil},
-		{"sequential engine", []sgml.RunOption{sgml.WithSequential()}},
-		{"frame pooling off", []sgml.RunOption{sgml.WithFramePooling(false)}},
-		{"sequential + pooling off", []sgml.RunOption{sgml.WithSequential(), sgml.WithFramePooling(false)}},
+		{"repeat", true, nil},
+		{"sequential engine", true, []sgml.RunOption{core.WithSequential()}},
+		{"frame pooling off", false, nil},
+		{"sequential + pooling off", false, []sgml.RunOption{core.WithSequential()}},
 	}
 	for _, v := range variants {
-		rep := runDrill(t, v.opts...)
+		r, err := sgml.Compile(ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := runDrillOn(t, r, v.pooling, v.opts...)
+		r.Stop()
 		if got := rep.Fingerprint(); got != want {
 			t.Errorf("%s: fingerprint diverged\n--- want ---\n%s\n--- got ---\n%s", v.name, want, got)
 		}

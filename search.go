@@ -60,8 +60,8 @@ func WriteSearchCorpus(dir string, finds []SearchFind) error {
 
 // ReadSearchCorpus loads every corpus entry of dir, sorted by name. Replaying
 // an entry — parse the XML, run it under WithMaxSteps(entry.MaxSteps) — must
-// reproduce entry.Fingerprint and the entry's oracle verdict under either
-// step engine and either provisioning path.
+// reproduce entry.Fingerprint and the entry's oracle verdict, on a fresh
+// compile or a fork.
 func ReadSearchCorpus(dir string) ([]SearchCorpusEntry, error) {
 	return search.ReadCorpus(dir)
 }
@@ -74,8 +74,7 @@ func ReadSearchCorpus(dir string) ([]SearchCorpusEntry, error) {
 // delta-debugged to a minimal reproducing <Scenario> XML with a pinned
 // fingerprint. Deterministic end to end: a fixed (model, seed scenario,
 // search seed, budget) reproduces the same finds, minimized repros and
-// fingerprints across both step engines, both provisioning paths and any
-// worker count.
+// fingerprints at any worker count.
 func Search(ctx context.Context, ms *ModelSet, seed *Scenario, opts SearchOptions) (*SearchResult, error) {
 	root, err := core.Compile(ms)
 	if err != nil {

@@ -4,7 +4,8 @@ package sgml_test
 // inspects MMS, ARP, GOOSE and port scans but never Modbus/502) must be
 // discovered by a fixed (model, seed scenario, search seed, budget),
 // minimized to <= 3 events, and the minimized XML must replay to the pinned
-// fingerprint across both step engines and both provisioning paths. The
+// fingerprint on a fresh compile and on a fork, under the sharded and the
+// test-only sequential engine. The
 // checked-in regression corpus under testdata/corpus pins exactly that.
 
 import (
@@ -16,6 +17,7 @@ import (
 
 	sgml "repro"
 
+	"repro/internal/core"
 	"repro/mms"
 	"repro/netem"
 )
@@ -100,36 +102,36 @@ func TestSearchFindsModbusBlindSpot(t *testing.T) {
 	}
 
 	// The whole search must be a pure function of (model, seed scenario,
-	// search seed, budget): re-running under the sequential reference engine
-	// with a single worker must reproduce the identical finds.
-	seq, err := sgml.Search(context.Background(), ms, searchSeedScenario(), sgml.SearchOptions{
+	// search seed, budget): re-running with a single worker must reproduce
+	// the identical finds.
+	single, err := sgml.Search(context.Background(), ms, searchSeedScenario(), sgml.SearchOptions{
 		SearchSeed: searchTestSeed,
 		Budget:     searchTestBudget,
-		Sequential: true,
 		Workers:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Finds) != len(res.Finds) {
-		t.Fatalf("sequential search found %d finds, parallel %d", len(seq.Finds), len(res.Finds))
+	if len(single.Finds) != len(res.Finds) {
+		t.Fatalf("single-worker search found %d finds, default %d", len(single.Finds), len(res.Finds))
 	}
 	for i := range res.Finds {
-		p, q := res.Finds[i], seq.Finds[i]
+		p, q := res.Finds[i], single.Finds[i]
 		if p.Oracle != q.Oracle || p.FoundAt != q.FoundAt || p.Events != q.Events {
-			t.Errorf("find %d diverged across engines: parallel %s@%d/%d events, sequential %s@%d/%d events",
+			t.Errorf("find %d diverged across worker counts: default %s@%d/%d events, single-worker %s@%d/%d events",
 				i, p.Oracle, p.FoundAt, p.Events, q.Oracle, q.FoundAt, q.Events)
 		}
 		if string(p.XML) != string(q.XML) {
-			t.Errorf("find %s: minimized XML diverged across engines:\n%s\n---\n%s", p.Oracle, p.XML, q.XML)
+			t.Errorf("find %s: minimized XML diverged across worker counts:\n%s\n---\n%s", p.Oracle, p.XML, q.XML)
 		}
 		if p.Fingerprint != q.Fingerprint {
-			t.Errorf("find %s: fingerprint diverged across engines", p.Oracle)
+			t.Errorf("find %s: fingerprint diverged across worker counts", p.Oracle)
 		}
 	}
 
 	// The minimized XML replays to the pinned fingerprint and keeps the
-	// oracle's verdict across both step engines and both provisioning paths.
+	// oracle's verdict on a fresh compile and on a fork, under the sharded
+	// engine and the test-only sequential reference engine.
 	oracle, err := sgml.OracleByKey(md.Oracle)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +146,7 @@ func TestSearchFindsModbusBlindSpot(t *testing.T) {
 		replay func() *sgml.RunReport
 	}{
 		{"fresh-parallel", func() *sgml.RunReport { return replayFind(t, ms, md) }},
-		{"fresh-sequential", func() *sgml.RunReport { return replayFind(t, ms, md, sgml.WithSequential()) }},
+		{"fresh-sequential", func() *sgml.RunReport { return replayFind(t, ms, md, core.WithSequential()) }},
 		{"fork-parallel", func() *sgml.RunReport {
 			sc, err := sgml.ParseScenario(md.XML)
 			if err != nil {
@@ -161,7 +163,7 @@ func TestSearchFindsModbusBlindSpot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := sgml.RunCompiled(context.Background(), root, sc, sgml.WithMaxSteps(md.MaxSteps), sgml.WithSequential())
+			rep, err := sgml.RunCompiled(context.Background(), root, sc, sgml.WithMaxSteps(md.MaxSteps), core.WithSequential())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +341,7 @@ func TestCorpusReplay(t *testing.T) {
 			for _, engine := range []string{"parallel", "sequential"} {
 				opts := []sgml.RunOption{sgml.WithMaxSteps(e.MaxSteps)}
 				if engine == "sequential" {
-					opts = append(opts, sgml.WithSequential())
+					opts = append(opts, core.WithSequential())
 				}
 				rep, err := sgml.Run(context.Background(), ms, sc, opts...)
 				if err != nil {

@@ -20,36 +20,14 @@ type (
 	EventSpec = core.EventSpec
 )
 
-// The unified option surface: one family of With* constructors shared by
-// Compile, Run/RunCompiled and RunCampaign. Each constructor returns a value
-// implementing exactly the option interfaces of the calls it is meaningful
-// for — WithWorkers is an Option (accepted everywhere), WithSeed is only a
-// RunOption — so a misplaced option is a compile-time error, not a silent
-// no-op.
-type (
-	// Option is an option meaningful to Compile, Run and RunCampaign alike
-	// (see WithWorkers).
-	Option = core.Option
-	// CompileOption tunes the compiled range (accepted by Compile).
-	CompileOption = core.CompileOption
-)
-
 // ErrModel is returned when an SG-ML model cannot be compiled.
 var ErrModel = core.ErrModel
-
-// WithWorkers sets the worker-pool size of the receiving call: the parallel
-// step engine's pool for Compile/Run (default runtime.GOMAXPROCS(0); 1 keeps
-// the two-phase engine on a single goroutine), or the number of concurrently
-// executing runs for RunCampaign. Worker count never changes committed state
-// or run fingerprints.
-func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // Compile runs the SG-ML Processor on a model set. The expensive derivation
 // work is kept on the range as shared immutable artifacts; CyberRange.Fork
 // clones the compiled range for another isolated run without repeating it.
-func Compile(ms *ModelSet, opts ...CompileOption) (*CyberRange, error) {
-	return core.Compile(ms, opts...)
-}
+// StepAll drives the sharded step engine on runtime.GOMAXPROCS(0) workers.
+func Compile(ms *ModelSet) (*CyberRange, error) { return core.Compile(ms) }
 
 // LoadModelDir reads an SG-ML model directory (the on-disk file set the
 // paper's toolchain consumes) into a ModelSet.
