@@ -73,6 +73,16 @@
 // LoadScenarioFile; schema in internal/sgmlconf) consumed by
 // "rangectl scenario run".
 //
+// Adding an action kind is one type plus one table row per package. In
+// internal/core, declare the type with its four methods — describe (report
+// and fingerprint text), validate (resolution against the compiled range),
+// apply (the effect at the firing step) and encode (its Scenario XML
+// attributes) — and add its XML kind to the actionDecoders table; the
+// compiler rejects a type without encode. In internal/sgmlconf, add any new
+// attributes to ScenarioEvent and the kind's required-attribute check to
+// validateKind. Alias the type in this package to make it public.
+// FuzzScenarioCodec and TestScenarioRoundTrip keep the two halves agreeing.
+//
 // Red/blue tooling is public: repro/attack (FCI, MITM, scans), repro/ids
 // (the passive sensor), repro/netem (fabric addressing and link knobs) and
 // repro/mms (client + values) — examples never import repro/internal.

@@ -93,9 +93,6 @@ type RunSink interface {
 // cells. Close is called when RunCampaign returns.
 type CampaignStore interface {
 	RunSink
-	// Done reports whether a clean record for the (variant, seed, attempt)
-	// cell is already persisted.
-	Done(variant string, seed int64, attempt int) bool
 	// Load reconstructs the persisted population as a partial
 	// CampaignReport: one entry per stored cell, full RunReports attached
 	// and fingerprints rehydrated, sorted by (variant, seed, attempt).

@@ -326,15 +326,26 @@ type EventSpec struct {
 	Value   float64
 }
 
-// powerKinds maps the neutral step-kind vocabulary (shared by the
-// supplementary XML schema and the scenario DSL) onto simulator event kinds.
-var powerKinds = map[string]powersim.EventKind{
-	"loadScale":   powersim.SetLoadScale,
-	"loadP":       powersim.SetLoadP,
-	"genP":        powersim.SetGenP,
-	"sgenP":       powersim.SetSGenP,
-	"switch":      powersim.SetSwitch,
-	"lineService": powersim.SetLineService,
+// powerKind is one row of the neutral step-kind vocabulary shared by the
+// supplementary XML schema and the scenario DSL: the simulator event it
+// schedules and the power-model element class it addresses.
+type powerKind struct {
+	sim  powersim.EventKind
+	noun string
+	has  func(grid *powergrid.Network, name string) bool
+}
+
+func hasLoad(g *powergrid.Network, n string) bool { return g.FindLoad(n) != nil }
+
+// powerKinds is the one table of power step kinds; EventSpec and PowerStep
+// both resolve through it.
+var powerKinds = map[string]powerKind{
+	"loadScale":   {powersim.SetLoadScale, "load", hasLoad},
+	"loadP":       {powersim.SetLoadP, "load", hasLoad},
+	"genP":        {powersim.SetGenP, "generator", func(g *powergrid.Network, n string) bool { return g.FindGen(n) != nil }},
+	"sgenP":       {powersim.SetSGenP, "static generator", func(g *powergrid.Network, n string) bool { return g.FindSGen(n) != nil }},
+	"switch":      {powersim.SetSwitch, "breaker/switch", func(g *powergrid.Network, n string) bool { return g.FindSwitch(n) != nil }},
+	"lineService": {powersim.SetLineService, "line", func(g *powergrid.Network, n string) bool { return g.FindLine(n) != nil }},
 }
 
 // Action converts the spec into its typed scenario-DSL action.
@@ -349,57 +360,22 @@ func (s EventSpec) SimEvent() (powersim.Event, error) {
 		return powersim.Event{}, fmt.Errorf("%w: step kind %q", ErrModel, s.Kind)
 	}
 	return powersim.Event{
-		At: time.Duration(s.AtMS) * time.Millisecond, Kind: k,
+		At: time.Duration(s.AtMS) * time.Millisecond, Kind: k.sim,
 		Element: s.Element, Value: s.Value,
 	}, nil
 }
 
 // Validate checks that the spec's kind is known and its element resolves in
 // the generated power model, so a broken scenario step fails Compile instead
-// of being discovered (or silently dropped) at runtime.
+// of being discovered (or silently dropped) at runtime. The scenario layer's
+// pre-run validation of PowerStep actions goes through it too.
 func (s EventSpec) Validate(grid *powergrid.Network) error {
-	return validatePowerAction(grid, s.Kind, s.Element)
-}
-
-// validatePowerAction resolves (kind, element) against the power model. It
-// backs both the compile-time validation of supplementary-XML steps and the
-// scenario layer's pre-run validation of power actions.
-func validatePowerAction(grid *powergrid.Network, kind, element string) error {
-	if _, ok := powerKinds[kind]; !ok {
-		return fmt.Errorf("unknown event kind %q", kind)
+	k, ok := powerKinds[s.Kind]
+	if !ok {
+		return fmt.Errorf("unknown event kind %q", s.Kind)
 	}
-	var found bool
-	switch kind {
-	case "loadScale", "loadP":
-		found = grid.FindLoad(element) != nil
-	case "genP":
-		found = grid.FindGen(element) != nil
-	case "sgenP":
-		found = grid.FindSGen(element) != nil
-	case "switch":
-		found = grid.FindSwitch(element) != nil
-	case "lineService":
-		found = grid.FindLine(element) != nil
-	}
-	if !found {
-		return fmt.Errorf("%s element %q not in the power model", kindElementNoun(kind), element)
+	if !k.has(grid, s.Element) {
+		return fmt.Errorf("%s element %q not in the power model", k.noun, s.Element)
 	}
 	return nil
-}
-
-// kindElementNoun names the element class an event kind addresses.
-func kindElementNoun(kind string) string {
-	switch kind {
-	case "loadScale", "loadP":
-		return "load"
-	case "genP":
-		return "generator"
-	case "sgenP":
-		return "static generator"
-	case "switch":
-		return "breaker/switch"
-	case "lineService":
-		return "line"
-	}
-	return "element"
 }

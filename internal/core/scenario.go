@@ -152,11 +152,16 @@ func (t Trigger) describe() string {
 // Action is one typed scenario action. Implementations cover the power model
 // (PowerStep and its sugar constructors), network impairments (LinkDown/
 // LinkUp/LinkFlap/LinkLoss/LinkLatency), attack steps (PortScan,
-// FalseCommand, StartMITM, StopMITM) and sensor deployment (DeployIDS).
+// FalseCommand, StartMITM, StopMITM, ModbusTamper) and sensor deployment
+// (DeployIDS).
+//
+// encode writes the action's Scenario XML kind and attributes; its inverse is
+// the action's row in actionDecoders (power kinds decode through powerKinds).
 type Action interface {
 	describe() string
 	validate(v *scenarioValidator) error
 	apply(rt *scenarioRun, ev *eventState) (detail string, err error)
+	encode(e *sgmlconf.ScenarioEvent) error
 }
 
 // --- power actions ---------------------------------------------------------
@@ -215,7 +220,7 @@ func (a PowerStep) describe() string {
 }
 
 func (a PowerStep) validate(v *scenarioValidator) error {
-	return validatePowerAction(v.r.Grid, a.Kind, a.Element)
+	return EventSpec{Kind: a.Kind, Element: a.Element}.Validate(v.r.Grid)
 }
 
 func (a PowerStep) apply(rt *scenarioRun, _ *eventState) (string, error) {
@@ -228,6 +233,11 @@ func (a PowerStep) apply(rt *scenarioRun, _ *eventState) (string, error) {
 		return "", err
 	}
 	return fmt.Sprintf("%s %s=%g applied", a.Kind, a.Element, a.Value), nil
+}
+
+func (a PowerStep) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.Element, e.Value = a.Kind, a.Element, a.Value
+	return nil
 }
 
 // --- network impairments ---------------------------------------------------
@@ -248,6 +258,10 @@ func (a LinkDown) apply(rt *scenarioRun, _ *eventState) (string, error) {
 	rt.r.Net.LinkBetween(a.A, a.B).SetUp(false)
 	return "link down", nil
 }
+func (a LinkDown) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.LinkA, e.LinkB = "linkDown", a.A, a.B
+	return nil
+}
 
 // LinkUp restores the cable between two named devices.
 type LinkUp struct{ A, B string }
@@ -257,6 +271,10 @@ func (a LinkUp) validate(v *scenarioValidator) error { return validateLink(v, a.
 func (a LinkUp) apply(rt *scenarioRun, _ *eventState) (string, error) {
 	rt.r.Net.LinkBetween(a.A, a.B).SetUp(true)
 	return "link up", nil
+}
+func (a LinkUp) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.LinkA, e.LinkB = "linkUp", a.A, a.B
+	return nil
 }
 
 // LinkFlap pulls the cable for DownSteps simulation steps, then restores it.
@@ -279,6 +297,10 @@ func (a LinkFlap) apply(rt *scenarioRun, ev *eventState) (string, error) {
 	l.SetUp(false)
 	rt.scheduleRestore(ev.firedAt+a.DownSteps, func() { l.SetUp(true) })
 	return fmt.Sprintf("down until step %d", ev.firedAt+a.DownSteps), nil
+}
+func (a LinkFlap) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.LinkA, e.LinkB, e.DownSteps = "linkFlap", a.A, a.B, a.DownSteps
+	return nil
 }
 
 // LinkLoss sets the per-frame loss rate (0..1) on the link between two
@@ -306,6 +328,10 @@ func (a LinkLoss) apply(rt *scenarioRun, _ *eventState) (string, error) {
 	rt.r.Net.LinkBetween(a.A, a.B).SetLossRate(a.Rate)
 	return fmt.Sprintf("loss rate %.2f", a.Rate), nil
 }
+func (a LinkLoss) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.LinkA, e.LinkB, e.Rate = "linkLoss", a.A, a.B, a.Rate
+	return nil
+}
 
 // LinkLatency sets the one-way propagation delay on the link between two
 // devices.
@@ -326,6 +352,14 @@ func (a LinkLatency) validate(v *scenarioValidator) error {
 func (a LinkLatency) apply(rt *scenarioRun, _ *eventState) (string, error) {
 	rt.r.Net.LinkBetween(a.A, a.B).SetLatency(a.Latency)
 	return fmt.Sprintf("latency %v", a.Latency), nil
+}
+func (a LinkLatency) encode(e *sgmlconf.ScenarioEvent) error {
+	if a.Latency%time.Millisecond != 0 {
+		return fmt.Errorf("latency %v is not a whole millisecond", a.Latency)
+	}
+	e.Kind, e.LinkA, e.LinkB = "linkLatency", a.A, a.B
+	e.LatencyMS = int(a.Latency / time.Millisecond)
+	return nil
 }
 
 // --- attack steps ----------------------------------------------------------
@@ -371,6 +405,15 @@ func (a PortScan) apply(rt *scenarioRun, ev *eventState) (string, error) {
 	rt.expect(ev, ids.AlertPortScan, host.IP().String())
 	return fmt.Sprintf("%d ports probed, open: [%s]", len(ports), strings.Join(open, " ")), nil
 }
+func (a PortScan) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.Attacker, e.Target = "portScan", a.Attacker, a.Target
+	ports := make([]string, len(a.Ports))
+	for i, p := range a.Ports {
+		ports[i] = fmt.Sprintf("%d", p)
+	}
+	e.Ports = strings.Join(ports, ",")
+	return nil
+}
 
 // FalseCommand injects a standard-compliant MMS write from an attacker into
 // a named IED (the false-command-injection case study, §IV-B). Value helpers:
@@ -408,6 +451,19 @@ func (a FalseCommand) apply(rt *scenarioRun, ev *eventState) (string, error) {
 	// attack must not drag recall down for an alert that could never fire.
 	rt.expect(ev, ids.AlertUnauthorizedWrite, host.IP().String())
 	return fmt.Sprintf("injected %s=%s", a.Ref, a.Value), nil
+}
+func (a FalseCommand) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.Attacker, e.Target, e.Ref = "falseCommand", a.Attacker, a.Target, a.Ref
+	switch a.Value.Kind {
+	case mms.KindBool:
+		b := a.Value.Bool
+		e.BoolValue = &b
+	case mms.KindFloat:
+		e.Value = a.Value.Float
+	default:
+		return fmt.Errorf("falseCommand value kind %v has no XML form", a.Value.Kind)
+	}
+	return nil
 }
 
 // StartMITM mounts an ARP-spoofing man-in-the-middle between two victims
@@ -473,6 +529,11 @@ func (a StartMITM) apply(rt *scenarioRun, ev *eventState) (string, error) {
 	}
 	return detail, nil
 }
+func (a StartMITM) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.Attacker, e.VictimA, e.VictimB = "mitm", a.Attacker, a.VictimA, a.VictimB
+	e.ScaleFloats, e.Blackhole, e.ForSteps = a.ScaleFloats, a.Blackhole, a.ForSteps
+	return nil
+}
 
 // StopMITM withdraws an attacker's active MITM, healing the victims' ARP
 // caches.
@@ -488,6 +549,10 @@ func (a StopMITM) apply(rt *scenarioRun, _ *eventState) (string, error) {
 	m.Stop()
 	delete(rt.mitms, a.Attacker)
 	return "withdrawn", nil
+}
+func (a StopMITM) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.Attacker = "stopMitm", a.Attacker
+	return nil
 }
 
 // ModbusTamper injects a Modbus/TCP write from an attacker into a PLC's
@@ -588,6 +653,12 @@ func (a ModbusTamper) apply(rt *scenarioRun, ev *eventState) (string, error) {
 	return fmt.Sprintf("%s[%d]=%d written", a.table(), a.Address, a.Value), nil
 }
 
+func (a ModbusTamper) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.Attacker, e.Target = "modbusTamper", a.Attacker, a.PLC
+	e.Table, e.Address, e.Word = a.Table, int(a.Address), int(a.Value)
+	return nil
+}
+
 // --- sensor deployment -----------------------------------------------------
 
 // DeployIDS attaches a passive network IDS sensor to every link of the
@@ -631,6 +702,11 @@ func (a DeployIDS) apply(rt *scenarioRun, _ *eventState) (string, error) {
 	s.Attach(rt.r.Net)
 	rt.sensors = append(rt.sensors, deployedSensor{name: a.sensorName(), s: s})
 	return fmt.Sprintf("tapping all links, %d authorized writers", len(writers)), nil
+}
+func (a DeployIDS) encode(e *sgmlconf.ScenarioEvent) error {
+	e.Kind, e.Sensor, e.Threshold = "deployIDS", a.Name, a.PortScanThreshold
+	e.Writers = strings.Join(a.AuthorizedWriters, ",")
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -700,7 +776,7 @@ func (sc *Scenario) validate(r *CyberRange) error {
 		}
 		// Double-wrap so both sentinels survive: a failed action validation is
 		// always ErrScenario, and actions that resolve model elements (power
-		// steps via validatePowerAction, ModbusTamper via the PLC inventory)
+		// steps via EventSpec.Validate, ModbusTamper via the PLC inventory)
 		// additionally surface ErrModel through the chain.
 		if err := ev.Action.validate(v); err != nil {
 			return fmt.Errorf("%w: event %q: %w", ErrScenario, ev.Name, err)
@@ -1185,20 +1261,16 @@ func ScenarioFromConfig(c *sgmlconf.ScenarioConfig) (*Scenario, error) {
 	}
 	for i := range c.Events {
 		e := &c.Events[i]
-		trig, err := triggerFromConfig(e)
+		act, err := decodeAction(e)
 		if err != nil {
 			return nil, fmt.Errorf("%w: event %q: %v", ErrScenario, e.Name, err)
 		}
-		act, err := actionFromConfig(e)
-		if err != nil {
-			return nil, fmt.Errorf("%w: event %q: %v", ErrScenario, e.Name, err)
-		}
-		sc.Events = append(sc.Events, ScenarioEvent{Name: e.Name, Trigger: trig, Action: act})
+		sc.Events = append(sc.Events, ScenarioEvent{Name: e.Name, Trigger: triggerFromConfig(e), Action: act})
 	}
 	return sc, nil
 }
 
-func triggerFromConfig(e *sgmlconf.ScenarioEvent) (Trigger, error) {
+func triggerFromConfig(e *sgmlconf.ScenarioEvent) Trigger {
 	var t Trigger
 	switch {
 	case e.AtStep != nil:
@@ -1216,7 +1288,7 @@ func triggerFromConfig(e *sgmlconf.ScenarioEvent) (Trigger, error) {
 	default:
 		t = At(0)
 	}
-	return t.Plus(e.Plus), nil
+	return t.Plus(e.Plus)
 }
 
 // ScenarioToConfig renders a typed scenario into its declarative XML form —
@@ -1225,8 +1297,8 @@ func triggerFromConfig(e *sgmlconf.ScenarioEvent) (Trigger, error) {
 // round-trip property test) is behavioural equivalence: the emitted config
 // re-parses to a scenario whose run fingerprint matches the original for a
 // fixed (model, seed). Values without an XML form — sub-millisecond
-// durations, exotic MMS payload kinds, user-defined Action implementations —
-// return ErrScenario rather than serializing lossily.
+// durations, exotic MMS payload kinds — return ErrScenario rather than
+// serializing lossily.
 func ScenarioToConfig(sc *Scenario) (*sgmlconf.ScenarioConfig, error) {
 	c := &sgmlconf.ScenarioConfig{Name: sc.Name, Steps: sc.Steps, Seed: sc.Seed}
 	if c.Name == "" {
@@ -1249,7 +1321,7 @@ func ScenarioToConfig(sc *Scenario) (*sgmlconf.ScenarioConfig, error) {
 		if err := triggerToConfig(ev.Trigger, &e); err != nil {
 			return nil, fmt.Errorf("%w: event %q: %v", ErrScenario, ev.Name, err)
 		}
-		if err := actionToConfig(ev.Action, &e); err != nil {
+		if err := ev.Action.encode(&e); err != nil {
 			return nil, fmt.Errorf("%w: event %q: %v", ErrScenario, ev.Name, err)
 		}
 		c.Events = append(c.Events, e)
@@ -1281,112 +1353,61 @@ func triggerToConfig(t Trigger, e *sgmlconf.ScenarioEvent) error {
 		e.OnAlert = string(t.alert)
 	case trigDeadBuses:
 		e.OnDeadBuses = t.count
-	default:
-		return fmt.Errorf("trigger %q has no XML form", t.describe())
 	}
 	e.Plus = t.delay
 	return nil
 }
 
-func actionToConfig(a Action, e *sgmlconf.ScenarioEvent) error {
-	switch act := a.(type) {
-	case PowerStep:
-		e.Kind, e.Element, e.Value = act.Kind, act.Element, act.Value
-	case LinkDown:
-		e.Kind, e.LinkA, e.LinkB = "linkDown", act.A, act.B
-	case LinkUp:
-		e.Kind, e.LinkA, e.LinkB = "linkUp", act.A, act.B
-	case LinkFlap:
-		e.Kind, e.LinkA, e.LinkB, e.DownSteps = "linkFlap", act.A, act.B, act.DownSteps
-	case LinkLoss:
-		e.Kind, e.LinkA, e.LinkB, e.Rate = "linkLoss", act.A, act.B, act.Rate
-	case LinkLatency:
-		if act.Latency%time.Millisecond != 0 {
-			return fmt.Errorf("latency %v is not a whole millisecond", act.Latency)
-		}
-		e.Kind, e.LinkA, e.LinkB = "linkLatency", act.A, act.B
-		e.LatencyMS = int(act.Latency / time.Millisecond)
-	case PortScan:
-		e.Kind, e.Attacker, e.Target = "portScan", act.Attacker, act.Target
-		ports := make([]string, len(act.Ports))
-		for i, p := range act.Ports {
-			ports[i] = fmt.Sprintf("%d", p)
-		}
-		e.Ports = strings.Join(ports, ",")
-	case FalseCommand:
-		e.Kind, e.Attacker, e.Target, e.Ref = "falseCommand", act.Attacker, act.Target, act.Ref
-		switch act.Value.Kind {
-		case mms.KindBool:
-			b := act.Value.Bool
-			e.BoolValue = &b
-		case mms.KindFloat:
-			e.Value = act.Value.Float
-		default:
-			return fmt.Errorf("falseCommand value kind %v has no XML form", act.Value.Kind)
-		}
-	case StartMITM:
-		e.Kind, e.Attacker, e.VictimA, e.VictimB = "mitm", act.Attacker, act.VictimA, act.VictimB
-		e.ScaleFloats, e.Blackhole, e.ForSteps = act.ScaleFloats, act.Blackhole, act.ForSteps
-	case StopMITM:
-		e.Kind, e.Attacker = "stopMitm", act.Attacker
-	case ModbusTamper:
-		e.Kind, e.Attacker, e.Target = "modbusTamper", act.Attacker, act.PLC
-		e.Table, e.Address, e.Word = act.Table, int(act.Address), int(act.Value)
-	case DeployIDS:
-		e.Kind, e.Sensor, e.Threshold = "deployIDS", act.Name, act.PortScanThreshold
-		e.Writers = strings.Join(act.AuthorizedWriters, ",")
-	default:
-		return fmt.Errorf("action %T has no XML form", a)
-	}
-	return nil
-}
-
-func actionFromConfig(e *sgmlconf.ScenarioEvent) (Action, error) {
-	switch e.Kind {
-	case "loadScale", "loadP", "genP", "sgenP", "switch", "lineService":
-		return PowerStep{Kind: e.Kind, Element: e.Element, Value: e.Value}, nil
-	case "openBreaker":
-		return OpenBreaker(e.Element), nil
-	case "closeBreaker":
-		return CloseBreaker(e.Element), nil
-	case "linkDown":
-		return LinkDown{A: e.LinkA, B: e.LinkB}, nil
-	case "linkUp":
-		return LinkUp{A: e.LinkA, B: e.LinkB}, nil
-	case "linkFlap":
-		return LinkFlap{A: e.LinkA, B: e.LinkB, DownSteps: e.DownSteps}, nil
-	case "linkLoss":
-		return LinkLoss{A: e.LinkA, B: e.LinkB, Rate: e.Rate}, nil
-	case "linkLatency":
-		return LinkLatency{A: e.LinkA, B: e.LinkB, Latency: time.Duration(e.LatencyMS) * time.Millisecond}, nil
-	case "portScan":
-		return PortScan{Attacker: e.Attacker, Target: e.Target, Ports: e.PortList()}, nil
-	case "falseCommand":
-		var v mms.Value
+// actionDecoders maps each Scenario XML action kind onto its typed action;
+// every type's encode method is the reverse direction. The power-step kinds
+// decode generically through powerKinds (see decodeAction).
+var actionDecoders = map[string]func(e *sgmlconf.ScenarioEvent) Action{
+	"openBreaker":  func(e *sgmlconf.ScenarioEvent) Action { return OpenBreaker(e.Element) },
+	"closeBreaker": func(e *sgmlconf.ScenarioEvent) Action { return CloseBreaker(e.Element) },
+	"linkDown":     func(e *sgmlconf.ScenarioEvent) Action { return LinkDown{A: e.LinkA, B: e.LinkB} },
+	"linkUp":       func(e *sgmlconf.ScenarioEvent) Action { return LinkUp{A: e.LinkA, B: e.LinkB} },
+	"linkFlap": func(e *sgmlconf.ScenarioEvent) Action {
+		return LinkFlap{A: e.LinkA, B: e.LinkB, DownSteps: e.DownSteps}
+	},
+	"linkLoss": func(e *sgmlconf.ScenarioEvent) Action { return LinkLoss{A: e.LinkA, B: e.LinkB, Rate: e.Rate} },
+	"linkLatency": func(e *sgmlconf.ScenarioEvent) Action {
+		return LinkLatency{A: e.LinkA, B: e.LinkB, Latency: time.Duration(e.LatencyMS) * time.Millisecond}
+	},
+	"portScan": func(e *sgmlconf.ScenarioEvent) Action {
+		return PortScan{Attacker: e.Attacker, Target: e.Target, Ports: e.PortList()}
+	},
+	"falseCommand": func(e *sgmlconf.ScenarioEvent) Action {
+		v := mms.NewFloat(e.Value)
 		if e.BoolValue != nil {
 			v = mms.NewBool(*e.BoolValue)
-		} else {
-			v = mms.NewFloat(e.Value)
 		}
-		return FalseCommand{Attacker: e.Attacker, Target: e.Target, Ref: e.Ref, Value: v}, nil
-	case "mitm":
+		return FalseCommand{Attacker: e.Attacker, Target: e.Target, Ref: e.Ref, Value: v}
+	},
+	"mitm": func(e *sgmlconf.ScenarioEvent) Action {
 		return StartMITM{
 			Attacker: e.Attacker, VictimA: e.VictimA, VictimB: e.VictimB,
 			ScaleFloats: e.ScaleFloats, Blackhole: e.Blackhole, ForSteps: e.ForSteps,
-		}, nil
-	case "stopMitm":
-		return StopMITM{Attacker: e.Attacker}, nil
-	case "modbusTamper":
+		}
+	},
+	"stopMitm": func(e *sgmlconf.ScenarioEvent) Action { return StopMITM{Attacker: e.Attacker} },
+	"modbusTamper": func(e *sgmlconf.ScenarioEvent) Action {
 		return ModbusTamper{
 			Attacker: e.Attacker, PLC: e.Target,
 			Table: e.Table, Address: uint16(e.Address), Value: uint16(e.Word),
-		}, nil
-	case "deployIDS":
-		return DeployIDS{
-			Name:              e.SensorName(),
-			AuthorizedWriters: e.WriterList(),
-			PortScanThreshold: e.Threshold,
-		}, nil
+		}
+	},
+	"deployIDS": func(e *sgmlconf.ScenarioEvent) Action {
+		return DeployIDS{Name: e.Sensor, AuthorizedWriters: e.WriterList(), PortScanThreshold: e.Threshold}
+	},
+}
+
+// decodeAction builds the typed action an event's kind names.
+func decodeAction(e *sgmlconf.ScenarioEvent) (Action, error) {
+	if _, ok := powerKinds[e.Kind]; ok {
+		return PowerStep{Kind: e.Kind, Element: e.Element, Value: e.Value}, nil
+	}
+	if dec, ok := actionDecoders[e.Kind]; ok {
+		return dec(e), nil
 	}
 	return nil, fmt.Errorf("unknown action kind %q", e.Kind)
 }

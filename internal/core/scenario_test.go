@@ -317,6 +317,16 @@ func TestScenarioConfigValidation(t *testing.T) {
 			`<Event kind="portScan" attacker="a" target="T" ports="99999"/></Scenario>`, // bad port
 		`<Scenario name="x"><Attacker name="a" ip="10.0.0.9"/></Scenario>`,           // attacker without switch
 		`<Scenario name="x"><Event kind="linkFlap" linkA="a" linkB="b"/></Scenario>`, // flap without downSteps
+
+		`<Scenario name="x"><Event afterMs="-500" kind="openBreaker" element="B"/></Scenario>`,          // negative afterMs
+		`<Scenario name="x"><Event onDeadBuses="-2" kind="openBreaker" element="B"/></Scenario>`,        // negative onDeadBuses
+		`<Scenario name="x"><Event atStep="7" afterMs="-5" kind="openBreaker" element="B"/></Scenario>`, // atStep + negative afterMs
+		`<Scenario name="x"><Event kind="linkLatency" linkA="a" linkB="b" latencyMs="-5"/></Scenario>`,  // negative latencyMs
+		`<Scenario name="x"><Attacker name="a" switch="s" ip="10.0.0.9"/>` +
+			`<Event kind="mitm" attacker="a" victimA="V" victimB="W" forSteps="-1"/></Scenario>`, // negative forSteps
+		`<Scenario name="x"><Attacker name="a" switch="s" ip="10.0.0.999"/></Scenario>`,                       // malformed attacker ip
+		`<Scenario name="x"><Attacker name="a" switch="s" ip="10.0.0.9" mac="02:5c"/></Scenario>`,             // malformed attacker mac
+		`<Scenario name="x"><Event afterMs="9223372036854775807" kind="openBreaker" element="B"/></Scenario>`, // afterMs overflows a Duration
 	}
 	for i, data := range bad {
 		if _, err := sgmlconf.ParseScenarioConfig([]byte(data)); !errors.Is(err, sgmlconf.ErrConfig) {

@@ -18,8 +18,7 @@ import (
 //     simulator's last publication), exactly as they would sequentially.
 //  2. Commit phase: the buffered writes are applied to the bus in globally
 //     sorted IED-name order — the same write order StepAllSequential
-//     produces, so per-key values, versions and even the watcher stream
-//     are byte-identical.
+//     produces, so per-key values and versions are byte-identical.
 //
 // The identity contract covers everything coupled through the kv bus. It
 // deliberately excludes GOOSE/R-SV arrival timing: frames are delivered

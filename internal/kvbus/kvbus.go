@@ -5,9 +5,7 @@
 // measurements (voltage, current, power) under well-known keys, IEDs read them;
 // IEDs write actuation commands (breaker open/close), the simulator reads them
 // at each step (§III-B). This package is the in-process equivalent: a
-// concurrent, versioned key-value store with the same read/write semantics,
-// plus watch support so tests and the SCADA layer can react to changes without
-// polling.
+// concurrent, versioned key-value store with the same read/write semantics.
 package kvbus
 
 import (
@@ -54,27 +52,17 @@ func (v Value) Int() (int64, error) {
 	return i, nil
 }
 
-// Update describes one observed write, delivered to watchers.
-type Update struct {
-	Key   string
-	Value Value
-}
-
 // Bus is the key-value cache. The zero value is not usable; call New.
 type Bus struct {
-	mu       sync.RWMutex
-	data     map[string]Value
-	watchers map[string][]chan Update // key -> subscriber channels; "" watches all
-	writes   uint64
-	reads    uint64
+	mu     sync.RWMutex
+	data   map[string]Value
+	writes uint64
+	reads  uint64
 }
 
 // New returns an empty bus.
 func New() *Bus {
-	return &Bus{
-		data:     make(map[string]Value),
-		watchers: make(map[string][]chan Update),
-	}
+	return &Bus{data: make(map[string]Value)}
 }
 
 // Writer is the write half of the bus. It is implemented by *Bus (immediate
@@ -93,24 +81,12 @@ var (
 	_ Writer = (*Tx)(nil)
 )
 
-// Set writes key = raw, bumping the key version and notifying watchers.
+// Set writes key = raw, bumping the key version.
 func (b *Bus) Set(key, raw string) {
 	b.mu.Lock()
-	v := Value{Raw: raw, Version: b.data[key].Version + 1}
-	b.data[key] = v
+	b.data[key] = Value{Raw: raw, Version: b.data[key].Version + 1}
 	b.writes++
-	subs := make([]chan Update, 0, len(b.watchers[key])+len(b.watchers[""]))
-	subs = append(subs, b.watchers[key]...)
-	subs = append(subs, b.watchers[""]...)
 	b.mu.Unlock()
-
-	u := Update{Key: key, Value: v}
-	for _, ch := range subs {
-		select {
-		case ch <- u:
-		default: // slow watcher: drop rather than block the simulation step
-		}
-	}
 }
 
 // The canonical raw encodings shared by every Writer implementation. Byte
@@ -171,7 +147,7 @@ func (b *Bus) GetBool(key string, def bool) bool {
 	return x
 }
 
-// Delete removes a key. Watchers are not notified of deletes.
+// Delete removes a key.
 func (b *Bus) Delete(key string) {
 	b.mu.Lock()
 	delete(b.data, key)
@@ -199,33 +175,10 @@ func (b *Bus) Len() int {
 	return len(b.data)
 }
 
-// Watch subscribes to writes on key (or every key when key == "").
-// The returned cancel function must be called to release the subscription.
-// The channel has a small buffer; updates are dropped rather than blocking
-// writers, mirroring a cache poller that can miss intermediate values.
-func (b *Bus) Watch(key string) (<-chan Update, func()) {
-	ch := make(chan Update, 64)
-	b.mu.Lock()
-	b.watchers[key] = append(b.watchers[key], ch)
-	b.mu.Unlock()
-	cancel := func() {
-		b.mu.Lock()
-		subs := b.watchers[key]
-		for i, c := range subs {
-			if c == ch {
-				b.watchers[key] = append(subs[:i:i], subs[i+1:]...)
-				break
-			}
-		}
-		b.mu.Unlock()
-	}
-	return ch, cancel
-}
-
 // Tx is a write buffer: Set* calls are recorded in order instead of applied.
-// Commit replays them against a Bus with normal versioning and watcher
-// notification. A Tx is not safe for concurrent use; the step engine gives
-// each IED its own. The zero value is ready to use.
+// Commit replays them against a Bus with normal versioning. A Tx is not safe
+// for concurrent use; the step engine gives each IED its own. The zero value
+// is ready to use.
 type Tx struct {
 	ops []txOp
 }
@@ -253,8 +206,8 @@ func (t *Tx) Len() int { return len(t.ops) }
 func (t *Tx) Reset() { t.ops = t.ops[:0] }
 
 // Commit applies the buffered writes to b in recorded order and resets the
-// buffer. Versions, counters and watcher delivery behave exactly as if the
-// writes had been issued directly.
+// buffer. Versions and counters behave exactly as if the writes had been
+// issued directly.
 func (t *Tx) Commit(b *Bus) {
 	for _, op := range t.ops {
 		b.Set(op.key, op.raw)
@@ -284,9 +237,9 @@ func (b *Bus) Snapshot() map[string]string {
 // Fork returns an independent bus pre-loaded with b's current contents,
 // versions included — unlike Snapshot/Restore, which flatten versions to 1,
 // a fork is byte- and version-identical to its parent at the fork point, so
-// version-sensitive readers (watch de-duplication, stale-read checks) behave
-// exactly as they would on the original. Watchers and read/write counters
-// are not inherited: a fork starts with no subscribers and zeroed stats.
+// version-sensitive readers (stale-read checks) behave exactly as they would
+// on the original. Read/write counters are not inherited: a fork starts with
+// zeroed stats.
 // The compiled-range fork path uses this to duplicate the coupling cache
 // per run without re-deriving its initial state.
 func (b *Bus) Fork() *Bus {

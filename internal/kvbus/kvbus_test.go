@@ -103,69 +103,6 @@ func TestVersionMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestWatchDeliversUpdates(t *testing.T) {
-	b := New()
-	ch, cancel := b.Watch("x")
-	defer cancel()
-	b.Set("x", "10")
-	b.Set("y", "ignored")
-	select {
-	case u := <-ch:
-		if u.Key != "x" || u.Value.Raw != "10" {
-			t.Errorf("update = %+v", u)
-		}
-	default:
-		t.Fatal("no update delivered")
-	}
-	select {
-	case u := <-ch:
-		t.Fatalf("unexpected extra update %+v", u)
-	default:
-	}
-}
-
-func TestWatchAllKeys(t *testing.T) {
-	b := New()
-	ch, cancel := b.Watch("")
-	defer cancel()
-	b.Set("a", "1")
-	b.Set("b", "2")
-	got := map[string]string{}
-	for i := 0; i < 2; i++ {
-		u := <-ch
-		got[u.Key] = u.Value.Raw
-	}
-	if got["a"] != "1" || got["b"] != "2" {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestWatchCancelStopsDelivery(t *testing.T) {
-	b := New()
-	ch, cancel := b.Watch("x")
-	cancel()
-	b.Set("x", "1")
-	select {
-	case u := <-ch:
-		t.Fatalf("update after cancel: %+v", u)
-	default:
-	}
-}
-
-func TestSlowWatcherDoesNotBlockWriter(t *testing.T) {
-	b := New()
-	_, cancel := b.Watch("x")
-	defer cancel()
-	// Overflow the 64-slot buffer; Set must never block.
-	for i := 0; i < 1000; i++ {
-		b.SetInt("x", int64(i))
-	}
-	v, _ := b.Get("x")
-	if v.Raw != "999" {
-		t.Errorf("final value = %q, want 999", v.Raw)
-	}
-}
-
 func TestKeysPrefixSorted(t *testing.T) {
 	b := New()
 	for _, k := range []string{"pw/s1/bus/b2/vm_pu", "pw/s1/bus/b1/vm_pu", "cmd/s1/cb/c1/close"} {
@@ -296,15 +233,13 @@ func TestTxBuffersUntilCommit(t *testing.T) {
 
 func TestTxCommitMatchesDirectWrites(t *testing.T) {
 	// A committed Tx must be indistinguishable from the same writes issued
-	// directly: same raw values, same per-key versions, same watcher stream.
+	// directly: same raw values, same per-key versions.
 	direct := New()
 	direct.SetFloat("a", 1)
 	direct.SetFloat("a", 2)
 	direct.SetBool("b", true)
 
 	buffered := New()
-	ch, cancel := buffered.Watch("")
-	defer cancel()
 	var tx Tx
 	tx.SetFloat("a", 1)
 	tx.SetFloat("a", 2)
@@ -324,17 +259,6 @@ func TestTxCommitMatchesDirectWrites(t *testing.T) {
 	bv, _ := buffered.Get("a")
 	if dv.Version != bv.Version {
 		t.Errorf("version of a: direct %d, buffered %d", dv.Version, bv.Version)
-	}
-	var got []string
-	for i := 0; i < 3; i++ {
-		u := <-ch
-		got = append(got, u.Key+"="+u.Value.Raw)
-	}
-	want := []string{"a=1", "a=2", "b=1"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("watch[%d] = %q, want %q", i, got[i], want[i])
-		}
 	}
 }
 

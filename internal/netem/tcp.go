@@ -391,11 +391,13 @@ func (l *Listener) Close() error {
 		return nil
 	}
 	l.closed = true
+	// Closed under l.mu so a connection being handed to Accept never sends
+	// on the closed channel.
+	close(l.accept)
 	l.mu.Unlock()
 	l.host.mu.Lock()
 	delete(l.host.listeners, l.port)
 	l.host.mu.Unlock()
-	close(l.accept)
 	return nil
 }
 
@@ -485,17 +487,18 @@ func (h *Host) handleTCP(src IPv4, seg tcpSegment) {
 		go func() {
 			select {
 			case <-c.estCh:
+				delivered := false
 				listener.mu.Lock()
-				closed := listener.closed
-				listener.mu.Unlock()
-				if closed {
-					_ = c.Close()
-					return
+				if !listener.closed {
+					select {
+					case listener.accept <- c:
+						delivered = true
+					default: // accept backlog full
+					}
 				}
-				select {
-				case listener.accept <- c:
-				default:
-					_ = c.Close() // accept backlog full
+				listener.mu.Unlock()
+				if !delivered {
+					_ = c.Close()
 				}
 			case <-time.After(tcpDialTimeout):
 				_ = c.Close()

@@ -3,8 +3,12 @@ package sgmlconf
 import (
 	"encoding/xml"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"time"
+
+	"repro/internal/netem"
 )
 
 // ---------------------------------------------------------------------------
@@ -132,21 +136,11 @@ func (e *ScenarioEvent) WriterList() []string {
 	return out
 }
 
-// SensorName returns the sensor attribute (deployIDS), defaulting downstream.
-func (e *ScenarioEvent) SensorName() string { return e.Sensor }
+// maxMS is the largest millisecond count a time.Duration holds.
+const maxMS = int(math.MaxInt64 / int64(time.Millisecond))
 
-var scenarioActionKinds = map[string]bool{
-	"loadScale": true, "loadP": true, "genP": true, "sgenP": true,
-	"switch": true, "lineService": true,
-	"openBreaker": true, "closeBreaker": true,
-	"linkDown": true, "linkUp": true, "linkFlap": true,
-	"linkLoss": true, "linkLatency": true,
-	"portScan": true, "falseCommand": true, "mitm": true, "stopMitm": true,
-	"modbusTamper": true,
-	"deployIDS":    true,
-}
-
-// Validate checks the structural invariants: trigger exclusivity, known
+// Validate checks the structural invariants: parseable attacker addresses,
+// trigger exclusivity, in-range trigger and duration attributes, known
 // action kinds and the per-kind required attributes. Name resolution against
 // a compiled range happens when the scenario runs.
 func (c *ScenarioConfig) Validate() error {
@@ -166,6 +160,14 @@ func (c *ScenarioConfig) Validate() error {
 		}
 		if a.IP == "" {
 			return fmt.Errorf("%w: attacker %q without ip", ErrConfig, a.Name)
+		}
+		if _, err := netem.ParseIPv4(a.IP); err != nil {
+			return fmt.Errorf("%w: attacker %q: %v", ErrConfig, a.Name, err)
+		}
+		if a.MAC != "" {
+			if _, err := netem.ParseMAC(a.MAC); err != nil {
+				return fmt.Errorf("%w: attacker %q: %v", ErrConfig, a.Name, err)
+			}
 		}
 		attackers[a.Name] = true
 	}
@@ -187,6 +189,9 @@ func (c *ScenarioConfig) Validate() error {
 				return fmt.Errorf("%w: event %s: negative atStep", ErrConfig, label)
 			}
 		}
+		if e.AfterMS < 0 || e.AfterMS > maxMS {
+			return fmt.Errorf("%w: event %s: afterMs %d outside 0..%d", ErrConfig, label, e.AfterMS, maxMS)
+		}
 		if e.AfterMS > 0 {
 			triggers++
 		}
@@ -199,6 +204,9 @@ func (c *ScenarioConfig) Validate() error {
 		if e.OnAlert != "" {
 			triggers++
 		}
+		if e.OnDeadBuses < 0 {
+			return fmt.Errorf("%w: event %s: negative onDeadBuses", ErrConfig, label)
+		}
 		if e.OnDeadBuses > 0 {
 			triggers++
 		}
@@ -207,9 +215,6 @@ func (c *ScenarioConfig) Validate() error {
 		}
 		if e.Plus < 0 {
 			return fmt.Errorf("%w: event %s: negative plus", ErrConfig, label)
-		}
-		if !scenarioActionKinds[e.Kind] {
-			return fmt.Errorf("%w: event %s: unknown kind %q", ErrConfig, label, e.Kind)
 		}
 		if err := e.validateKind(label, attackers); err != nil {
 			return err
@@ -229,11 +234,6 @@ func (e *ScenarioEvent) validateKind(label string, attackers map[string]bool) er
 		return nil
 	}
 	switch e.Kind {
-	case "loadScale", "loadP", "genP", "sgenP", "switch", "lineService",
-		"openBreaker", "closeBreaker":
-		if e.Element == "" {
-			return fmt.Errorf("%w: event %s: kind %q needs element", ErrConfig, label, e.Kind)
-		}
 	case "linkDown", "linkUp", "linkFlap", "linkLoss", "linkLatency":
 		if e.LinkA == "" || e.LinkB == "" {
 			return fmt.Errorf("%w: event %s: kind %q needs linkA and linkB", ErrConfig, label, e.Kind)
@@ -243,6 +243,9 @@ func (e *ScenarioEvent) validateKind(label string, attackers map[string]bool) er
 		}
 		if e.Kind == "linkLoss" && (e.Rate < 0 || e.Rate > 1) {
 			return fmt.Errorf("%w: event %s: loss rate %v outside [0,1]", ErrConfig, label, e.Rate)
+		}
+		if e.Kind == "linkLatency" && (e.LatencyMS < 0 || e.LatencyMS > maxMS) {
+			return fmt.Errorf("%w: event %s: latencyMs %d outside 0..%d", ErrConfig, label, e.LatencyMS, maxMS)
 		}
 	case "portScan":
 		if err := needAttacker(); err != nil {
@@ -272,6 +275,9 @@ func (e *ScenarioEvent) validateKind(label string, attackers map[string]bool) er
 		if e.VictimA == "" || e.VictimB == "" {
 			return fmt.Errorf("%w: event %s: mitm needs victimA and victimB", ErrConfig, label)
 		}
+		if e.ForSteps < 0 {
+			return fmt.Errorf("%w: event %s: negative forSteps", ErrConfig, label)
+		}
 	case "stopMitm":
 		if err := needAttacker(); err != nil {
 			return err
@@ -297,6 +303,13 @@ func (e *ScenarioEvent) validateKind(label string, attackers map[string]bool) er
 	case "deployIDS":
 		if e.Threshold < 0 {
 			return fmt.Errorf("%w: event %s: negative threshold", ErrConfig, label)
+		}
+	default: // power steps, including the openBreaker/closeBreaker sugar
+		if !validStepKinds[e.Kind] && e.Kind != "openBreaker" && e.Kind != "closeBreaker" {
+			return fmt.Errorf("%w: event %s: unknown kind %q", ErrConfig, label, e.Kind)
+		}
+		if e.Element == "" {
+			return fmt.Errorf("%w: event %s: kind %q needs element", ErrConfig, label, e.Kind)
 		}
 	}
 	return nil

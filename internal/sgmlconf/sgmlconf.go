@@ -255,6 +255,8 @@ func (c *PowerConfig) Element(kind, name string) *ElementParam {
 	return nil
 }
 
+// validStepKinds is the power step-kind vocabulary, shared by the Power
+// System Extra Config's <Step> series and the Scenario XML's power actions.
 var validStepKinds = map[string]bool{
 	"loadScale": true, "loadP": true, "genP": true,
 	"sgenP": true, "switch": true, "lineService": true,

@@ -13,7 +13,7 @@ import (
 	"repro/internal/core"
 )
 
-// JSONL is the durable ReportStore: an append-only directory store in which
+// JSONL is the durable store: an append-only directory store in which
 // every executed run is one framed, fsync'd JSON record. A store directory
 // holds one subdirectory per campaign, keyed by the campaign's name and the
 // content hash of its normalized spec (Campaign.SpecHash) — an edited
@@ -150,7 +150,7 @@ func (s *JSONL) SetAppendHook(h func() error) {
 }
 
 // Put checkpoints one executed run: frame, append, fsync. Aborted runs are
-// skipped (see ReportStore), so their cells re-execute on resume.
+// skipped (see storable), so their cells re-execute on resume.
 func (s *JSONL) Put(run core.CampaignRun) error {
 	if !storable(&run) {
 		return nil

@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 )
 
-// Memory is the in-process ReportStore: the same checkpoint/resume/commit
+// Memory is the in-process store: the same checkpoint/resume/commit
 // semantics as the JSONL backend without durability. It exists for tests,
 // single-process pipelines that want the Merkle commitment without touching
 // disk, and as the behavioural reference the JSONL backend is diffed
@@ -23,7 +23,7 @@ func NewMemory() *Memory {
 }
 
 // Put checkpoints one executed run; aborted runs are skipped (see
-// ReportStore). Re-putting a cell overwrites the prior record.
+// storable). Re-putting a cell overwrites the prior record.
 func (m *Memory) Put(run core.CampaignRun) error {
 	if !storable(&run) {
 		return nil

@@ -4,7 +4,7 @@
 //
 // The campaign engine (internal/core) streams every executed run through its
 // RunSink chain; this package supplies the sinks that remember: an in-memory
-// ReportStore for tests and single-process pipelines, and a durable
+// store for tests and single-process pipelines, and a durable
 // append-only JSONL directory store whose records survive crashes
 // (length/CRC-framed, fsync'd per record, torn tails recovered on reopen).
 // A store answers three questions — Put (checkpoint this run), Done (is this
@@ -15,7 +15,9 @@
 //
 // core must not import this package (it would invert the dependency
 // direction), so the backends satisfy core.CampaignStore structurally and
-// the wiring lives in the public sgml layer (WithStore / WithResume).
+// the wiring lives in the public sgml layer (WithStore / WithResume). Both
+// backends are safe for concurrent Put/Done calls; Load is only called
+// before dispatch starts.
 package store
 
 import (
@@ -24,28 +26,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// ReportStore is the persistence contract of a campaign result store: a
-// streaming checkpoint (Put), the resume query (Done) and bulk recovery
-// (Load). It mirrors core.CampaignStore — the backends here satisfy that
-// interface structurally, keeping core free of store imports.
-//
-// Implementations must be safe for concurrent Put/Done calls; Load is only
-// called before dispatch starts.
-type ReportStore interface {
-	// Put checkpoints one executed run. Runs that never executed
-	// (cancelled cells) are never offered; implementations persist runs
-	// with an empty Err (clean and deterministic event-failure outcomes)
-	// and skip aborted ones, so an aborted cell re-executes on resume.
-	Put(run core.CampaignRun) error
-	// Done reports whether the (variant, seed, attempt) cell already has a
-	// persisted record.
-	Done(variant string, seed int64, attempt int) bool
-	// Load reconstructs the persisted population as a partial
-	// CampaignReport: one run per stored cell, full RunReports attached,
-	// fingerprints rehydrated, sorted by (variant, seed, attempt).
-	Load() (*core.CampaignReport, error)
-}
 
 // cellKey identifies one cell of a sweep matrix.
 type cellKey struct {

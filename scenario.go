@@ -224,8 +224,7 @@ func LoadScenarioFile(path string) (*Scenario, error) {
 // the reverse of ParseScenario. The round-trip contract: the emitted document
 // re-parses to a scenario whose RunReport.Fingerprint matches the original
 // for a fixed (model, seed). Scenarios using values without an XML form
-// (sub-millisecond durations, exotic MMS payloads, user-defined Action
-// implementations) return ErrScenario.
+// (sub-millisecond durations, exotic MMS payloads) return ErrScenario.
 func MarshalScenario(sc *Scenario) ([]byte, error) {
 	cfg, err := core.ScenarioToConfig(sc)
 	if err != nil {

@@ -229,6 +229,45 @@ func TestScenarioRoundTrip(t *testing.T) {
 			},
 			Steps: 12,
 		},
+		// Every action type (the breaker sugar and a pointer-valued action
+		// included), every trigger kind and Plus, on links and elements whose
+		// impairment cannot change what the fingerprint records.
+		"every-kind": {
+			Name: "every-kind",
+			Seed: 11,
+			Attackers: []sgml.AttackerSpec{
+				{Name: "redbox", Switch: "sw-TransLAN", IP: netem.MustIPv4("10.0.1.13")},
+			},
+			Events: []sgml.Event{
+				{Name: "blue", Trigger: sgml.At(0), Action: sgml.DeployIDS{
+					Name: "blue", AuthorizedWriters: []string{"SCADA", "CPLC"}, PortScanThreshold: 5}},
+				{Name: "slow", Trigger: sgml.After(100 * time.Millisecond), Action: sgml.LinkLatency{
+					A: "TIED2", B: "sw-TransLAN", Latency: 2 * time.Millisecond}},
+				{Name: "lossy", Trigger: sgml.At(1), Action: sgml.LinkLoss{A: "MIED2", B: "sw-MicroLAN", Rate: 0.25}},
+				{Name: "flap", Trigger: sgml.At(1), Action: &sgml.LinkFlap{A: "SIED2", B: "sw-HomeLAN", DownSteps: 2}},
+				{Name: "cut", Trigger: sgml.At(2), Action: sgml.LinkDown{A: "GIED2", B: "sw-GenLAN"}},
+				{Name: "mend", Trigger: sgml.At(3), Action: sgml.LinkUp{A: "GIED2", B: "sw-GenLAN"}},
+				{Name: "recon", Trigger: sgml.At(2), Action: sgml.PortScan{
+					Attacker: "redbox", Target: "TIED1", Ports: []uint16{21, 22, 80, 102, 443, 502}}},
+				{Name: "strike", Trigger: sgml.OnAlert(sgml.AlertPortScan).Plus(1), Action: sgml.FalseCommand{
+					Attacker: "redbox", Target: "TIED1",
+					Ref: "LD0/XCBR1.Pos.Oper", Value: mms.NewBool(false)}},
+				{Name: "shed", Trigger: sgml.OnDeadBuses(1), Action: sgml.ScaleLoad("Home1", 0.5)},
+				{Name: "home3", Trigger: sgml.At(4), Action: sgml.PowerStep{Kind: "loadP", Element: "Home3", Value: 0.2}},
+				{Name: "home4", Trigger: sgml.At(4), Action: sgml.SetLoadMW("Home4", 0.1)},
+				{Name: "trip", Trigger: sgml.At(5), Action: sgml.OpenBreaker("CBMicro")},
+				{Name: "on-trip", Trigger: sgml.OnBreakerOpen("CBMicro"), Action: sgml.SetSGenMW("PV1", 0.3)},
+				{Name: "reclose", Trigger: sgml.At(7), Action: sgml.CloseBreaker("CBMicro")},
+				{Name: "on-close", Trigger: sgml.OnBreakerClose("CBHome").Plus(2), Action: sgml.SetGenMW("Gen2", 3.5)},
+				{Name: "fault", Trigger: sgml.At(8), Action: sgml.FailLine("MicroLine")},
+				{Name: "repair", Trigger: sgml.At(9), Action: sgml.RestoreLine("MicroLine")},
+				{Name: "mitm", Trigger: sgml.At(9), Action: sgml.StartMITM{
+					Attacker: "redbox", VictimA: "CPLC", VictimB: "TIED1", ScaleFloats: 1.0, ForSteps: 4}},
+				{Name: "unmitm", Trigger: sgml.At(11), Action: sgml.StopMITM{Attacker: "redbox"}},
+				{Name: "poke", Trigger: sgml.At(12), Action: sgml.TamperRegister("redbox", "CPLC", 1, 42)},
+			},
+			Steps: 16,
+		},
 	}
 	for name, sc := range scenarios {
 		t.Run(name, func(t *testing.T) {
