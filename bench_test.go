@@ -1018,7 +1018,7 @@ func BenchmarkScale_CampaignThroughput(b *testing.B) {
 func BenchmarkAblation_ParallelStepEngine(b *testing.B) {
 	// Why the sharded engine stays: whole-range step at the paper's 5x20
 	// target size and at the 10x50 XL size, the sequential reference engine
-	// vs the sharded two-phase engine. The engine's pool is GOMAXPROCS, so
+	// vs the sharded one-pass engine. The engine's pool is GOMAXPROCS, so
 	// -cpu 1,2,4 sweeps its size. Both paths produce byte-identical state
 	// (TestParallelStepDeterminism*); this measures the latency they pay
 	// for it.

@@ -236,20 +236,17 @@
 //
 // # Parallel step engine
 //
-// StepAll advances the device layer with a sharded, deterministic two-phase
+// StepAll advances the device layer with a sharded, deterministic one-pass
 // engine. At compile time the range is partitioned into per-substation
 // shards (the model's natural hierarchy; ModelSet.ShardHints can override
-// the attribution). Each step then runs two phases:
+// the attribution). Each step, shards execute concurrently on a bounded
+// worker pool, each stepping its IEDs in sorted order against the
+// simulator's last publication. IEDs write straight to the kv bus: their
+// only writes in this pass are breaker trip commands, the constant "open" to
+// command keys no device reads until the next solve, so any interleaving of
+// shards leaves the same values and per-key versions.
 //
-//  1. Compute — shards execute concurrently on a bounded worker pool, each
-//     stepping its IEDs in sorted order. Bus writes (breaker trip commands)
-//     are buffered into per-IED transactions, so every device reads the
-//     same pre-step simulator state it would see sequentially.
-//  2. Commit — the buffered transactions are applied to the kv bus in
-//     globally sorted IED order, reproducing the sequential engine's write
-//     order exactly.
-//
-// PLC scans and the HMI poll follow against the committed state. The kv bus
+// PLC scans and the HMI poll follow against the resulting state. The kv bus
 // and HMI state is byte-identical to CyberRange.StepAllSequential — the
 // single-threaded reference path, kept as a test oracle — while step latency
 // scales with substation count instead of total device count. (GOOSE/R-SV

@@ -19,11 +19,10 @@
 // # Step engine
 //
 // CyberRange.StepAll advances one simulation interval with the sharded
-// two-phase engine (sched.go, shard.go): per-substation shards compute
-// concurrently with bus writes buffered into per-IED transactions, then a
-// commit phase applies them in globally sorted IED order. The pool is
-// runtime.GOMAXPROCS for a compiled range and max(1, GOMAXPROCS / campaign
-// workers) for a campaign run. The committed kv-bus/HMI state is
+// one-pass engine (sched.go, shard.go): per-substation shards step their
+// IEDs concurrently, writing trip commands straight to the kv bus. The pool
+// is runtime.GOMAXPROCS for a compiled range and max(1, GOMAXPROCS /
+// campaign workers) for a campaign run. The resulting kv-bus/HMI state is
 // byte-identical to CyberRange.StepAllSequential, the single-threaded
 // reference path kept as a test oracle (with WithSequential as its test-only
 // RunScenario seam).

@@ -424,9 +424,9 @@ func (a *rangeArtifacts) instantiate(built *BuiltNetwork, workers int) (*CyberRa
 	}
 
 	// Stage 8: step scheduler — partition devices along the substation
-	// hierarchy and build the bounded-pool two-phase engine.
+	// hierarchy and build the bounded-pool step engine.
 	r.shards = partitionShards(a.cons.SubstationOf, a.shardHints, r.IEDs, r.PLCs)
-	r.engine = newStepEngine(r.shards, workers, r.IEDs, r.PLCs, bus)
+	r.engine = newStepEngine(r.shards, workers, r.IEDs, r.PLCs)
 	return r, nil
 }
 
@@ -558,16 +558,15 @@ func (r *CyberRange) plcBindingsOf(name string) map[string]bool {
 }
 
 // StepAll advances the whole range one simulation interval, deterministically:
-// physical solve, then the sharded two-phase device pass (parallel IED
-// compute with buffered bus writes, ordered commit, PLC scans), one HMI poll.
-// The committed state is byte-identical to StepAllSequential.
+// physical solve, then the sharded device pass (parallel IED pass with
+// direct bus writes, PLC scans), one HMI poll. The resulting state is
+// byte-identical to StepAllSequential.
 func (r *CyberRange) StepAll(now time.Time) error { return r.step(now, false) }
 
 // StepAllSequential is the single-threaded reference engine: every IED in
-// sorted order with immediate bus writes, then every PLC in shard/name
-// order — the exact order the parallel engine commits in. Like the parallel
-// path, it scans every PLC before reporting the first error, so a failing
-// scan never forks the two engines' state. It is a test oracle: the
+// sorted order, then every PLC in shard/name order. Like the parallel path,
+// it scans every PLC before reporting the first error, so a failing scan
+// never forks the two engines' state. It is a test oracle: the
 // determinism tests, the parallel-engine ablation bench and the benchmark's
 // XL check diff StepAll against it.
 func (r *CyberRange) StepAllSequential(now time.Time) error { return r.step(now, true) }

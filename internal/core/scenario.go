@@ -1058,7 +1058,7 @@ func (rt *scenarioRun) preStep(step int, _ time.Time) error {
 }
 
 // postStep is the scheduler's observing half: arm condition triggers against
-// the step's committed state and poll ground-truth detection.
+// the step's resulting state and poll ground-truth detection.
 func (rt *scenarioRun) postStep(step int, _ time.Time) error {
 	for _, st := range rt.events {
 		if st.fired || st.fireAt >= 0 {

@@ -6,19 +6,27 @@ import (
 	"time"
 
 	"repro/internal/ied"
-	"repro/internal/kvbus"
 	"repro/internal/plc"
 )
 
-// stepEngine advances the device layer of a range with a two-phase step:
-//
-//  1. Compute phase: shards run concurrently on a bounded worker pool. Each
-//     shard steps its IEDs in sorted order, routing every bus write into the
-//     IED's private kvbus.Tx; reads see only the pre-step bus state (the
-//     simulator's last publication), exactly as they would sequentially.
-//  2. Commit phase: the buffered writes are applied to the bus in globally
-//     sorted IED-name order — the same write order StepAllSequential
-//     produces, so per-key values and versions are byte-identical.
+// StepHook observes (and may act on) the range's step loop. step is the
+// zero-based index of the step about to run (pre hook) or just completed
+// (post hook); now is the step's virtual timestamp. Returning an error aborts
+// the step. The deterministic scenario scheduler is implemented as a pair of
+// these hooks, which is what keeps event triggering identical across the
+// parallel and sequential engines: hooks run strictly between device passes,
+// never concurrently with them.
+type StepHook func(step int, now time.Time) error
+
+// stepEngine advances the device layer of a range in one pass: shards run
+// concurrently on a bounded worker pool, each stepping its IEDs in sorted
+// order with bus writes applied directly. Every IED reads the simulator's
+// last publication, exactly as it would sequentially. The only bus writes of
+// the IED pass are trip commands, each the constant "open" to a breaker's
+// command key, and no device reads a command key during the pass (the
+// simulator consumes them at the next solve). The bus lock serialises the
+// writes and a key's version counts them, so every interleaving of shards
+// leaves the same per-key values and versions as StepAllSequential.
 //
 // The identity contract covers everything coupled through the kv bus. It
 // deliberately excludes GOOSE/R-SV arrival timing: frames are delivered
@@ -29,60 +37,37 @@ import (
 //
 // PLC scans follow on the same pool, one job per shard with the shard's
 // PLCs scanned in order (their MMS reads hit IED servers that are quiescent
-// once the compute phase has drained). Every PLC is scanned every step —
-// one failing scan never skips the rest, which would fork the state from
-// the reference engine — and the surfaced error is the first in shard/name
+// once the IED pass has drained). Every PLC is scanned every step — one
+// failing scan never skips the rest, which would fork the state from the
+// reference engine — and the surfaced error is the first in shard/name
 // order, deterministic regardless of which worker failed first. PLC
-// actuation (MMS breaker writes) is applied by the receiving IED directly,
-// outside the Tx path, so byte-identity across engines additionally assumes
-// no two PLCs command the same breaker — which per-substation PLC placement
-// gives by construction.
-// StepHook observes (and may act on) the range's step loop. step is the
-// zero-based index of the step about to run (pre hook) or just completed
-// (post hook); now is the step's virtual timestamp. Returning an error aborts
-// the step. The deterministic scenario scheduler is implemented as a pair of
-// these hooks, which is what keeps event triggering identical across the
-// parallel and sequential engines: hooks run strictly between device passes,
-// never concurrently with them.
-type StepHook func(step int, now time.Time) error
-
+// actuation (MMS breaker writes) carries a commanded value rather than a
+// constant, so byte-identity across engines additionally assumes no two
+// PLCs command the same breaker — which per-substation PLC placement gives
+// by construction.
 type stepEngine struct {
 	shards  []Shard
 	workers int
 	ieds    map[string]*ied.IED
 	plcs    map[string]*plc.PLC
-	bus     *kvbus.Bus
 
-	iedOrder []string       // globally sorted; the commit replay order
-	iedIdx   map[string]int // IED name -> index into iedOrder/txs
-	txs      []kvbus.Tx     // one per IED, reused across steps
+	iedOrder []string // globally sorted; the sequential engine's order
 }
 
 // newStepEngine builds an engine over the compiled shards. The caller
 // (Compile) guarantees workers >= 1; extra workers beyond the job count of
 // a phase simply idle.
-func newStepEngine(shards []Shard, workers int, ieds map[string]*ied.IED, plcs map[string]*plc.PLC, bus *kvbus.Bus) *stepEngine {
-	e := &stepEngine{
-		shards:  shards,
-		workers: workers,
-		ieds:    ieds,
-		plcs:    plcs,
-		bus:     bus,
-		iedIdx:  make(map[string]int, len(ieds)),
-	}
+func newStepEngine(shards []Shard, workers int, ieds map[string]*ied.IED, plcs map[string]*plc.PLC) *stepEngine {
+	e := &stepEngine{shards: shards, workers: workers, ieds: ieds, plcs: plcs}
 	for name := range ieds {
 		e.iedOrder = append(e.iedOrder, name)
 	}
 	sort.Strings(e.iedOrder)
-	for i, name := range e.iedOrder {
-		e.iedIdx[name] = i
-	}
-	e.txs = make([]kvbus.Tx, len(e.iedOrder))
 	return e
 }
 
-// step runs one device-layer pass: parallel IED compute, ordered commit,
-// then the PLC scans.
+// step runs one device-layer pass: the parallel IED pass, then the PLC
+// scans.
 func (e *stepEngine) step(now time.Time) error {
 	e.stepIEDs(now)
 	return e.scanPLCs(now)
@@ -106,16 +91,13 @@ func (e *stepEngine) stepSequential(now time.Time) error {
 	return firstErr
 }
 
-// stepIEDs is the two-phase IED pass.
+// stepIEDs steps each shard's IEDs on the pool.
 func (e *stepEngine) stepIEDs(now time.Time) {
 	e.forEach(len(e.shards), func(i int) {
 		for _, name := range e.shards[i].IEDs {
-			e.ieds[name].StepTx(now, &e.txs[e.iedIdx[name]])
+			e.ieds[name].Step(now)
 		}
 	})
-	for i := range e.txs {
-		e.txs[i].Commit(e.bus)
-	}
 }
 
 // scanPLCs runs each shard's PLC scans on the pool and returns the error of

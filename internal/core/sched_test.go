@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/epic"
+	"repro/internal/ied"
 	"repro/internal/scada"
 	"repro/internal/sgmlconf"
 )
@@ -146,7 +148,7 @@ func TestParallelStepDeterminismEPIC(t *testing.T) {
 	// The EPIC model exercises the PLC scan and HMI poll phases on top of
 	// the IED pass; the HMI point table must match the sequential run too.
 	// A PV over-export event trips MIED1 and TIED1 mid-run so the diff also
-	// covers breaker commands flowing through the commit phase.
+	// covers breaker commands written during the parallel IED pass.
 	overExport := func() *ModelSet {
 		ms := epicModelSet(t)
 		ms.PowerConfig.Steps = append(ms.PowerConfig.Steps,
@@ -154,6 +156,52 @@ func TestParallelStepDeterminismEPIC(t *testing.T) {
 		return ms
 	}
 	testDeterminism(t, overExport(), overExport(), 50)
+}
+
+// TestParallelStepDeterminismConcurrentTrips overloads the first and last
+// substations' feeders at the same instant, so IEDs in two shards trip in
+// the same step and their breaker commands reach the bus concurrently. The
+// diff then covers concurrent direct writes, values and versions both.
+func TestParallelStepDeterminismConcurrentTrips(t *testing.T) {
+	simultaneous := func() *ModelSet {
+		ms := scaleModelSet(t, 3, 4)
+		for i := range ms.PowerConfig.Steps {
+			ms.PowerConfig.Steps[i].AtMS = 500
+		}
+		return ms
+	}
+	var stepEnds []time.Time // wall clock at the end of each parallel step
+	stepAll := func(r *CyberRange, now time.Time) error {
+		err := r.StepAll(now)
+		stepEnds = append(stepEnds, time.Now())
+		return err
+	}
+	seq := runSteps(t, simultaneous(), 100, (*CyberRange).StepAllSequential, 0)
+	par := runSteps(t, simultaneous(), 100, stepAll, 0)
+	diffRanges(t, seq, par)
+
+	// Attribute every trip to the step whose wall-clock window logged it.
+	shardsByStep := map[int]map[string]bool{}
+	for _, sh := range par.Shards() {
+		for _, name := range sh.IEDs {
+			for _, ev := range par.IEDs[name].Events() {
+				if ev.Kind != ied.EventTrip {
+					continue
+				}
+				step := sort.Search(len(stepEnds), func(i int) bool { return !stepEnds[i].Before(ev.Time) })
+				if shardsByStep[step] == nil {
+					shardsByStep[step] = map[string]bool{}
+				}
+				shardsByStep[step][sh.Name] = true
+			}
+		}
+	}
+	for _, shards := range shardsByStep {
+		if len(shards) >= 2 {
+			return
+		}
+	}
+	t.Errorf("no step tripped IEDs in two shards (trip shards by step: %v); the diff covers no concurrent writes", shardsByStep)
 }
 
 func TestParallelStepWorkerEdgeCases(t *testing.T) {
@@ -231,7 +279,7 @@ func TestShardPartition(t *testing.T) {
 
 // TestParallelStepUnderFault ensures the parallel engine keeps the failure
 // semantics the sequential path had: a dead IED must not wedge or panic the
-// two-phase step, and the HMI marks the source comm-fail.
+// parallel step, and the HMI marks the source comm-fail.
 func TestParallelStepUnderFault(t *testing.T) {
 	r := compiledEPIC(t)
 	if err := r.Start(context.Background(), false); err != nil {

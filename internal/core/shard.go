@@ -11,8 +11,8 @@ import (
 // devices of a single substation, stepped in sorted name order. Shards are
 // mutually independent within a step — IEDs exchange state with the power
 // simulation only through the kv bus (sim-written keys are read-only during
-// the device phase, IED-written command keys are buffered until the commit
-// phase), so any shard interleaving yields the same committed state.
+// the device phase, and IED-written command keys are write-only until the
+// next solve), so any shard interleaving yields the same bus state.
 type Shard struct {
 	// Name is the substation the shard covers (or "range" for devices with
 	// no substation attribution).

@@ -6,58 +6,25 @@
 // IEDs write actuation commands (breaker open/close), the simulator reads them
 // at each step (§III-B). This package is the in-process equivalent: a
 // concurrent, versioned key-value store with the same read/write semantics.
+// Every value on the range is a float measurement or a boolean command/status,
+// so values are stored as numbers and rendered as text only by Snapshot.
 package kvbus
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
-// Value is one cache entry. Values are stored as strings — exactly what a SQL
-// cache row holds — with typed accessors for convenience.
+// Value is one cache entry. Booleans are stored as 1 (true) and 0 (false).
 type Value struct {
-	Raw     string
+	Num     float64
 	Version uint64 // increments on every write to the key
-}
-
-// Float returns the value parsed as float64.
-func (v Value) Float() (float64, error) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(v.Raw), 64)
-	if err != nil {
-		return 0, fmt.Errorf("kvbus: value %q is not a float: %w", v.Raw, err)
-	}
-	return f, nil
-}
-
-// Bool returns the value parsed as a boolean (accepts 0/1/true/false).
-func (v Value) Bool() (bool, error) {
-	switch strings.ToLower(strings.TrimSpace(v.Raw)) {
-	case "1", "true", "on", "closed":
-		return true, nil
-	case "0", "false", "off", "open":
-		return false, nil
-	}
-	return false, fmt.Errorf("kvbus: value %q is not a bool", v.Raw)
-}
-
-// Int returns the value parsed as int64.
-func (v Value) Int() (int64, error) {
-	i, err := strconv.ParseInt(strings.TrimSpace(v.Raw), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("kvbus: value %q is not an int: %w", v.Raw, err)
-	}
-	return i, nil
 }
 
 // Bus is the key-value cache. The zero value is not usable; call New.
 type Bus struct {
-	mu     sync.RWMutex
-	data   map[string]Value
-	writes uint64
-	reads  uint64
+	mu   sync.RWMutex
+	data map[string]Value
 }
 
 // New returns an empty bus.
@@ -65,107 +32,45 @@ func New() *Bus {
 	return &Bus{data: make(map[string]Value)}
 }
 
-// Writer is the write half of the bus. It is implemented by *Bus (immediate
-// writes) and by *Tx (buffered writes applied later in a deterministic order).
-// Device step code writes through a Writer so the parallel step engine can
-// defer side effects to its ordered commit phase.
-type Writer interface {
-	Set(key, raw string)
-	SetFloat(key string, f float64)
-	SetBool(key string, v bool)
-	SetInt(key string, v int64)
-}
-
-var (
-	_ Writer = (*Bus)(nil)
-	_ Writer = (*Tx)(nil)
-)
-
-// Set writes key = raw, bumping the key version.
-func (b *Bus) Set(key, raw string) {
+// SetFloat writes a float measurement, bumping the key version.
+func (b *Bus) SetFloat(key string, f float64) {
 	b.mu.Lock()
-	b.data[key] = Value{Raw: raw, Version: b.data[key].Version + 1}
-	b.writes++
+	b.data[key] = Value{Num: f, Version: b.data[key].Version + 1}
 	b.mu.Unlock()
 }
 
-// The canonical raw encodings shared by every Writer implementation. Byte
-// identity between direct and Tx-buffered writes (the determinism guarantee
-// of the parallel step engine) depends on there being exactly one encoder.
-func encodeFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-func encodeBool(v bool) string {
+// SetBool writes a boolean as 1/0.
+func (b *Bus) SetBool(key string, v bool) {
+	f := 0.0
 	if v {
-		return "1"
+		f = 1
 	}
-	return "0"
+	b.SetFloat(key, f)
 }
-
-func encodeInt(v int64) string { return strconv.FormatInt(v, 10) }
-
-// SetFloat writes a float measurement with full precision.
-func (b *Bus) SetFloat(key string, f float64) { b.Set(key, encodeFloat(f)) }
-
-// SetBool writes a boolean as "1"/"0".
-func (b *Bus) SetBool(key string, v bool) { b.Set(key, encodeBool(v)) }
-
-// SetInt writes an integer.
-func (b *Bus) SetInt(key string, v int64) { b.Set(key, encodeInt(v)) }
 
 // Get reads a key. ok is false when the key has never been written.
 func (b *Bus) Get(key string) (Value, bool) {
-	b.mu.Lock()
-	b.reads++
+	b.mu.RLock()
 	v, ok := b.data[key]
-	b.mu.Unlock()
+	b.mu.RUnlock()
 	return v, ok
 }
 
-// GetFloat reads a float-valued key, returning def when missing or malformed.
+// GetFloat reads a float-valued key, returning def when missing.
 func (b *Bus) GetFloat(key string, def float64) float64 {
-	v, ok := b.Get(key)
-	if !ok {
-		return def
+	if v, ok := b.Get(key); ok {
+		return v.Num
 	}
-	f, err := v.Float()
-	if err != nil {
-		return def
-	}
-	return f
+	return def
 }
 
-// GetBool reads a bool-valued key, returning def when missing or malformed.
+// GetBool reads a bool-valued key (any non-zero value is true), returning
+// def when missing.
 func (b *Bus) GetBool(key string, def bool) bool {
-	v, ok := b.Get(key)
-	if !ok {
-		return def
+	if v, ok := b.Get(key); ok {
+		return v.Num != 0
 	}
-	x, err := v.Bool()
-	if err != nil {
-		return def
-	}
-	return x
-}
-
-// Delete removes a key.
-func (b *Bus) Delete(key string) {
-	b.mu.Lock()
-	delete(b.data, key)
-	b.mu.Unlock()
-}
-
-// Keys returns all keys with the given prefix, sorted.
-func (b *Bus) Keys(prefix string) []string {
-	b.mu.RLock()
-	out := make([]string, 0, len(b.data))
-	for k := range b.data {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	b.mu.RUnlock()
-	sort.Strings(out)
-	return out
+	return def
 }
 
 // Len returns the number of stored keys.
@@ -175,91 +80,31 @@ func (b *Bus) Len() int {
 	return len(b.data)
 }
 
-// Tx is a write buffer: Set* calls are recorded in order instead of applied.
-// Commit replays them against a Bus with normal versioning. A Tx is not safe
-// for concurrent use; the step engine gives each IED its own. The zero value
-// is ready to use.
-type Tx struct {
-	ops []txOp
-}
-
-type txOp struct {
-	key, raw string
-}
-
-// Set records a raw write.
-func (t *Tx) Set(key, raw string) { t.ops = append(t.ops, txOp{key: key, raw: raw}) }
-
-// SetFloat records a float write with the same encoding as Bus.SetFloat.
-func (t *Tx) SetFloat(key string, f float64) { t.Set(key, encodeFloat(f)) }
-
-// SetBool records a boolean write as "1"/"0".
-func (t *Tx) SetBool(key string, v bool) { t.Set(key, encodeBool(v)) }
-
-// SetInt records an integer write.
-func (t *Tx) SetInt(key string, v int64) { t.Set(key, encodeInt(v)) }
-
-// Len reports the number of buffered writes.
-func (t *Tx) Len() int { return len(t.ops) }
-
-// Reset drops buffered writes, keeping capacity for reuse across steps.
-func (t *Tx) Reset() { t.ops = t.ops[:0] }
-
-// Commit applies the buffered writes to b in recorded order and resets the
-// buffer. Versions and counters behave exactly as if the writes had been
-// issued directly.
-func (t *Tx) Commit(b *Bus) {
-	for _, op := range t.ops {
-		b.Set(op.key, op.raw)
-	}
-	t.Reset()
-}
-
-// Stats reports cumulative read/write counters (used by the benches to show
-// coupling traffic volume).
-func (b *Bus) Stats() (reads, writes uint64) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.reads, b.writes
-}
-
-// Snapshot returns a copy of the whole store, for scenario checkpointing.
+// Snapshot returns a copy of the whole store with each value rendered as
+// text: floats in their shortest round-trip form, booleans as "1"/"0".
 func (b *Bus) Snapshot() map[string]string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	out := make(map[string]string, len(b.data))
 	for k, v := range b.data {
-		out[k] = v.Raw
+		out[k] = strconv.FormatFloat(v.Num, 'g', -1, 64)
 	}
 	return out
 }
 
 // Fork returns an independent bus pre-loaded with b's current contents,
-// versions included — unlike Snapshot/Restore, which flatten versions to 1,
-// a fork is byte- and version-identical to its parent at the fork point, so
-// version-sensitive readers (stale-read checks) behave exactly as they would
-// on the original. Read/write counters are not inherited: a fork starts with
-// zeroed stats.
+// versions included, so version-sensitive readers (stale-read checks) behave
+// on the fork exactly as they would on the original at the fork point.
 // The compiled-range fork path uses this to duplicate the coupling cache
 // per run without re-deriving its initial state.
 func (b *Bus) Fork() *Bus {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	nb := New()
+	nb := &Bus{data: make(map[string]Value, len(b.data))}
 	for k, v := range b.data {
 		nb.data[k] = v
 	}
 	return nb
-}
-
-// Restore replaces the store contents with snap (versions restart at 1).
-func (b *Bus) Restore(snap map[string]string) {
-	b.mu.Lock()
-	b.data = make(map[string]Value, len(snap))
-	for k, raw := range snap {
-		b.data[k] = Value{Raw: raw, Version: 1}
-	}
-	b.mu.Unlock()
 }
 
 // Well-known key builders shared by the simulator and the device layer. The

@@ -10,15 +10,15 @@ import (
 
 func TestSetGetRoundTrip(t *testing.T) {
 	b := New()
-	b.Set("a", "1.5")
+	b.SetFloat("a", 1.5)
 	v, ok := b.Get("a")
 	if !ok {
-		t.Fatal("key missing after Set")
+		t.Fatal("key missing after SetFloat")
 	}
-	if v.Raw != "1.5" || v.Version != 1 {
+	if v.Num != 1.5 || v.Version != 1 {
 		t.Errorf("got %+v, want {1.5 1}", v)
 	}
-	b.Set("a", "2.5")
+	b.SetFloat("a", 2.5)
 	v, _ = b.Get("a")
 	if v.Version != 2 {
 		t.Errorf("version = %d, want 2", v.Version)
@@ -39,49 +39,55 @@ func TestGetMissing(t *testing.T) {
 }
 
 func TestTypedAccessors(t *testing.T) {
+	// Floats and bools share one numeric store: a bool reads back as 1/0
+	// through GetFloat, and any non-zero float reads as true through GetBool.
 	tests := []struct {
-		raw   string
+		name  string
+		set   func(b *Bus)
 		wantF float64
-		fOK   bool
 		wantB bool
-		bOK   bool
-		wantI int64
-		iOK   bool
 	}{
-		{"3.25", 3.25, true, false, false, 0, false},
-		{"1", 1, true, true, true, 1, true},
-		{"0", 0, true, false, true, 0, true},
-		{"true", 0, false, true, true, 0, false},
-		{"closed", 0, false, true, true, 0, false},
-		{"open", 0, false, false, true, 0, false},
-		{"garbage", 0, false, false, false, 0, false},
-		{" 7 ", 7, true, false, false, 7, true},
+		{"3.25", func(b *Bus) { b.SetFloat("k", 3.25) }, 3.25, true},
+		{"1", func(b *Bus) { b.SetFloat("k", 1) }, 1, true},
+		{"0", func(b *Bus) { b.SetFloat("k", 0) }, 0, false},
+		{"true", func(b *Bus) { b.SetBool("k", true) }, 1, true},
+		{"false", func(b *Bus) { b.SetBool("k", false) }, 0, false},
 	}
 	for _, tt := range tests {
-		t.Run(tt.raw, func(t *testing.T) {
-			v := Value{Raw: tt.raw}
-			f, err := v.Float()
-			if (err == nil) != tt.fOK || (tt.fOK && f != tt.wantF) {
-				t.Errorf("Float() = %v, %v", f, err)
+		t.Run(tt.name, func(t *testing.T) {
+			b := New()
+			tt.set(b)
+			if got := b.GetFloat("k", -1); got != tt.wantF {
+				t.Errorf("GetFloat = %v, want %v", got, tt.wantF)
 			}
-			bb, err := v.Bool()
-			if (err == nil) != tt.bOK || (tt.bOK && bb != tt.wantB) {
-				t.Errorf("Bool() = %v, %v", bb, err)
-			}
-			i, err := v.Int()
-			if (err == nil) != tt.iOK || (tt.iOK && i != tt.wantI) {
-				t.Errorf("Int() = %v, %v", i, err)
+			if got := b.GetBool("k", !tt.wantB); got != tt.wantB {
+				t.Errorf("GetBool = %v, want %v", got, tt.wantB)
 			}
 		})
 	}
 }
 
+// TestFloatRoundTripProperty pins the numeric store: values come back
+// unchanged, and Snapshot renders floats in shortest round-trip form and
+// bools as "1"/"0".
 func TestFloatRoundTripProperty(t *testing.T) {
 	b := New()
-	f := func(x float64) bool {
-		b.SetFloat("k", x)
-		got := b.GetFloat("k", 0)
-		return got == x || (x != x && got != got) // NaN-safe
+	f := func(x float64, on bool) bool {
+		b.SetFloat("f", x)
+		b.SetBool("b", on)
+		got := b.GetFloat("f", 0)
+		if got != x && (x == x || got == got) { // NaN-safe
+			return false
+		}
+		if b.GetBool("b", !on) != on {
+			return false
+		}
+		want := "0"
+		if on {
+			want = "1"
+		}
+		snap := b.Snapshot()
+		return snap["f"] == strconv.FormatFloat(x, 'g', -1, 64) && snap["b"] == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -91,8 +97,8 @@ func TestFloatRoundTripProperty(t *testing.T) {
 func TestVersionMonotonicProperty(t *testing.T) {
 	b := New()
 	var last uint64
-	f := func(s string) bool {
-		b.Set("k", s)
+	f := func(x float64) bool {
+		b.SetFloat("k", x)
 		v, _ := b.Get("k")
 		ok := v.Version == last+1
 		last = v.Version
@@ -103,71 +109,27 @@ func TestVersionMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestKeysPrefixSorted(t *testing.T) {
-	b := New()
-	for _, k := range []string{"pw/s1/bus/b2/vm_pu", "pw/s1/bus/b1/vm_pu", "cmd/s1/cb/c1/close"} {
-		b.Set(k, "0")
-	}
-	got := b.Keys("pw/")
-	if len(got) != 2 || got[0] != "pw/s1/bus/b1/vm_pu" || got[1] != "pw/s1/bus/b2/vm_pu" {
-		t.Errorf("Keys(pw/) = %v", got)
-	}
-	if n := len(b.Keys("")); n != 3 {
-		t.Errorf("Keys(\"\") len = %d, want 3", n)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	b := New()
-	b.Set("k", "v")
-	b.Delete("k")
-	if _, ok := b.Get("k"); ok {
-		t.Error("key survives Delete")
-	}
-	if b.Len() != 0 {
-		t.Errorf("Len = %d, want 0", b.Len())
-	}
-}
-
-func TestSnapshotRestore(t *testing.T) {
-	b := New()
-	b.Set("a", "1")
-	b.Set("b", "2")
-	snap := b.Snapshot()
-	b.Set("a", "99")
-	b.Delete("b")
-	b.Restore(snap)
-	if got := b.GetFloat("a", -1); got != 1 {
-		t.Errorf("a = %v, want 1", got)
-	}
-	if got := b.GetFloat("b", -1); got != 2 {
-		t.Errorf("b = %v, want 2", got)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	b := New()
-	const workers, iters = 8, 200
+	const workers, iters, keys = 8, 200, 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			key := "k" + strconv.Itoa(w%4)
+			key := "k" + strconv.Itoa(w%keys)
 			for i := 0; i < iters; i++ {
-				b.SetInt(key, int64(i))
+				b.SetBool(key, i%2 == 0)
 				b.Get(key)
-				b.Keys("k")
 			}
 		}(w)
 	}
 	wg.Wait()
-	reads, writes := b.Stats()
-	if writes != workers*iters {
-		t.Errorf("writes = %d, want %d", writes, workers*iters)
-	}
-	if reads != workers*iters {
-		t.Errorf("reads = %d, want %d", reads, workers*iters)
+	for k := 0; k < keys; k++ {
+		v, _ := b.Get("k" + strconv.Itoa(k))
+		if want := uint64(workers / keys * iters); v.Version != want {
+			t.Errorf("k%d version = %d, want %d writes", k, v.Version, want)
+		}
 	}
 }
 
@@ -197,78 +159,4 @@ func ExampleBus() {
 	b.SetFloat(BusVoltageKey("epic", "MainBus"), 1.02)
 	fmt.Println(b.GetFloat(BusVoltageKey("epic", "MainBus"), 0))
 	// Output: 1.02
-}
-
-func TestTxBuffersUntilCommit(t *testing.T) {
-	b := New()
-	var tx Tx
-	tx.SetFloat("f", 1.25)
-	tx.SetBool("on", true)
-	tx.SetBool("off", false)
-	tx.SetInt("n", 42)
-	tx.Set("raw", "x")
-	if _, ok := b.Get("f"); ok {
-		t.Fatal("buffered write reached the bus before Commit")
-	}
-	if tx.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", tx.Len())
-	}
-	tx.Commit(b)
-	if tx.Len() != 0 {
-		t.Errorf("Len after Commit = %d, want 0", tx.Len())
-	}
-	if got := b.GetFloat("f", 0); got != 1.25 {
-		t.Errorf("f = %v", got)
-	}
-	if !b.GetBool("on", false) || b.GetBool("off", true) {
-		t.Error("bool writes lost")
-	}
-	if v, _ := b.Get("n"); v.Raw != "42" {
-		t.Errorf("n = %q", v.Raw)
-	}
-	if v, _ := b.Get("raw"); v.Raw != "x" {
-		t.Errorf("raw = %q", v.Raw)
-	}
-}
-
-func TestTxCommitMatchesDirectWrites(t *testing.T) {
-	// A committed Tx must be indistinguishable from the same writes issued
-	// directly: same raw values, same per-key versions.
-	direct := New()
-	direct.SetFloat("a", 1)
-	direct.SetFloat("a", 2)
-	direct.SetBool("b", true)
-
-	buffered := New()
-	var tx Tx
-	tx.SetFloat("a", 1)
-	tx.SetFloat("a", 2)
-	tx.SetBool("b", true)
-	tx.Commit(buffered)
-
-	ds, bs := direct.Snapshot(), buffered.Snapshot()
-	if len(ds) != len(bs) {
-		t.Fatalf("snapshots differ: %v vs %v", ds, bs)
-	}
-	for k, v := range ds {
-		if bs[k] != v {
-			t.Errorf("key %q: direct %q, buffered %q", k, v, bs[k])
-		}
-	}
-	dv, _ := direct.Get("a")
-	bv, _ := buffered.Get("a")
-	if dv.Version != bv.Version {
-		t.Errorf("version of a: direct %d, buffered %d", dv.Version, bv.Version)
-	}
-}
-
-func TestTxReset(t *testing.T) {
-	b := New()
-	var tx Tx
-	tx.Set("k", "v")
-	tx.Reset()
-	tx.Commit(b)
-	if b.Len() != 0 {
-		t.Errorf("reset Tx committed %d keys", b.Len())
-	}
 }

@@ -52,9 +52,6 @@ var ErrUnknownElement = errors.New("powersim: unknown element")
 type Options struct {
 	Interval       time.Duration // solve period; default 100 ms (paper §III-C)
 	EnforceQLimits bool
-	// DisableWarmStart forces a flat start every step (used by the ablation
-	// bench; the paper's loop implicitly warm-starts by reusing the model).
-	DisableWarmStart bool
 }
 
 // Simulator steps a network and mirrors state onto a kv bus.
@@ -217,10 +214,7 @@ func (s *Simulator) stepLocked(now time.Duration) (*powerflow.Result, error) {
 	}
 	s.applyCommandsLocked()
 
-	opts := powerflow.Options{EnforceQLimits: s.opts.EnforceQLimits}
-	if !s.opts.DisableWarmStart {
-		opts.WarmStart = s.last
-	}
+	opts := powerflow.Options{EnforceQLimits: s.opts.EnforceQLimits, WarmStart: s.last}
 	start := time.Now()
 	res, err := s.solver.Solve(s.net, opts)
 	if err != nil {
@@ -296,12 +290,7 @@ func (s *Simulator) applyEvent(ev Event) error {
 func (s *Simulator) applyCommandsLocked() {
 	for i := range s.net.Switches {
 		sw := &s.net.Switches[i]
-		key := kvbus.BreakerCmdKey(s.net.Name, sw.Name)
-		if v, ok := s.bus.Get(key); ok {
-			if want, err := v.Bool(); err == nil {
-				sw.Closed = want
-			}
-		}
+		sw.Closed = s.bus.GetBool(kvbus.BreakerCmdKey(s.net.Name, sw.Name), sw.Closed)
 	}
 }
 
@@ -339,8 +328,6 @@ func (s *Simulator) publishLocked(res *powerflow.Result) {
 		}
 		s.bus.SetFloat(kvbus.GenPKey(name, g.Name), p)
 	}
-	s.bus.SetInt("pw/"+name+"/meta/steps", int64(s.steps))
-	s.bus.SetInt("pw/"+name+"/meta/islands", int64(res.Islands))
 }
 
 // Run steps the simulation in real time until ctx is cancelled. Each tick
